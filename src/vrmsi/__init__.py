@@ -8,23 +8,13 @@ results (SSIM, PSNR, edge sharpness, rank tests).
 __version__ = "0.1.0"
 
 from vrmsi.core import (
-    ComplexImage,
     MultiSpectralStack,
-    fft2_centered,
-    ifft2_centered,
-    zero_pad_center,
-    crop_center,
     save_stack,
     load_stack,
 )
 
 __all__ = [
-    "ComplexImage",
     "MultiSpectralStack",
-    "fft2_centered",
-    "ifft2_centered",
-    "zero_pad_center",
-    "crop_center",
     "save_stack",
     "load_stack",
     "__version__",

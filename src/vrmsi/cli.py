@@ -48,7 +48,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--jobs", type=int, default=None, help="parallel workers within a stage")
     sub.add_argument("--out", type=Path, default=None, help="override the output directory")
     sub.add_argument("--force", action="store_true", help="rebuild even if outputs exist")
-    sub.add_argument("--mode", choices=("sj", "mj"), default=None, help="training regime")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +82,6 @@ def _overrides(args) -> dict:
         "experiment.seed": args.seed,
         "experiment.jobs": args.jobs,
         "experiment.out_dir": str(args.out) if args.out else None,
-        "train.mode": args.mode,
     }
 
 

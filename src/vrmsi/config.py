@@ -18,49 +18,66 @@ class ConfigError(ValueError):
     """Bad or inconsistent experiment configuration."""
 
 
+def _parse_channels(raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad channel list {raw!r}") from exc
+
+
+def _optional_int(raw: str) -> int:
+    return int(raw) if raw else 0
+
+
+# section -> key -> (default as written in an INI file, parser of the raw value)
 _DEFAULTS = {
-    "experiment": {"name": "desk", "out_dir": "runs/desk", "seed": "1234", "jobs": "1"},
+    "experiment": {
+        "name": ("desk", str),
+        "out_dir": ("runs/desk", str),
+        "seed": ("1234", int),
+        "jobs": ("1", int),
+    },
     "phantom": {
-        "rows": "96",
-        "cols": "96",
-        "n_coils": "4",
-        "noise_sigma": "0.002",
-        "field_span_khz": "4.0",
-        "implant_amplitude_khz": "2.0",
-        "implant_radius": "7.0",
-        "texture": "0.1",
-        "families": "mixed",
-        "edges_per_slice": "2",
+        "rows": ("96", int),
+        "cols": ("96", int),
+        "n_coils": ("4", int),
+        "noise_sigma": ("0.002", float),
+        "field_span_khz": ("4.0", float),
+        "implant_amplitude_khz": ("2.0", float),
+        "implant_radius": ("7.0", float),
+        "texture": ("0.1", float),
+        "families": ("mixed", str),
+        "edges_per_slice": ("2", int),
     },
     "split": {
-        "train_subjects": "12",
-        "val_subjects": "3",
-        "test_subjects": "5",
-        "slices_per_subject": "4",
+        "train_subjects": ("12", int),
+        "val_subjects": ("3", int),
+        "test_subjects": ("5", int),
+        "slices_per_subject": ("4", int),
     },
     "acquisition": {
-        "tr_seconds": "4.0",
-        "etl": "32",
-        "n_concat": "2",
-        "n_bins": "8",
-        "bin_spacing_khz": "1.0",
-        "fwhm_khz": "2.25",
-        "accel_ky": "2",
-        "accel_kz": "2",
-        "pf_overscan": "8",
-        "acs_rows": "16",
-        "acs_cols": "16",
+        "tr_seconds": ("4.0", float),
+        "etl": ("32", int),
+        "n_concat": ("2", int),
+        "n_bins": ("8", int),
+        "bin_spacing_khz": ("1.0", float),
+        "fwhm_khz": ("2.25", float),
+        "accel_ky": ("2", int),
+        "accel_kz": ("2", int),
+        "pf_overscan": ("8", int),
+        "acs_rows": ("16", int),
+        "acs_cols": ("16", int),
     },
     "recon": {
-        "apod_sigma_fraction": "0.25",
-        "kernel_ky": "5",
-        "kernel_kz": "4",
-        "ridge": "1e-4",
-        "out_rows": "",
-        "out_cols": "",
+        "apod_sigma_fraction": ("0.25", float),
+        "kernel_ky": ("5", int),
+        "kernel_kz": ("4", int),
+        "ridge": ("1e-4", float),
+        "out_rows": ("", _optional_int),
+        "out_cols": ("", _optional_int),
     },
-    "model": {"n_levels": "5", "channels": "16,32,64,128,256"},
-    "train": {"learning_rate": "2e-4", "epochs": "50", "batch_size": "4", "mode": "mj"},
+    "model": {"n_levels": ("5", int), "channels": ("16,32,64,128,256", _parse_channels)},
+    "train": {"learning_rate": ("2e-4", float), "epochs": ("50", int), "batch_size": ("4", int)},
 }
 
 
@@ -131,17 +148,10 @@ def _get(parser, section, key, conv, path):
         raise ConfigError(f"{path}: [{section}] {key} = {raw!r}: {exc}") from exc
 
 
-def _parse_channels(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad channel list {raw!r}") from exc
-
-
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Parse an INI config; ``overrides`` maps 'section.key' -> value."""
     parser = configparser.ConfigParser()
-    parser.read_dict(_DEFAULTS)
+    parser.read_dict({sec: {key: d for key, (d, _) in keys.items()} for sec, keys in _DEFAULTS.items()})
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -165,61 +175,11 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             if key not in _DEFAULTS[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
 
-    cfg = ExperimentConfig(
-        name=parser.get("experiment", "name"),
-        out_dir=parser.get("experiment", "out_dir"),
-        seed=_get(parser, "experiment", "seed", int, path),
-        jobs=_get(parser, "experiment", "jobs", int, path),
-        phantom={
-            "rows": _get(parser, "phantom", "rows", int, path),
-            "cols": _get(parser, "phantom", "cols", int, path),
-            "n_coils": _get(parser, "phantom", "n_coils", int, path),
-            "noise_sigma": _get(parser, "phantom", "noise_sigma", float, path),
-            "field_span_khz": _get(parser, "phantom", "field_span_khz", float, path),
-            "implant_amplitude_khz": _get(parser, "phantom", "implant_amplitude_khz", float, path),
-            "implant_radius": _get(parser, "phantom", "implant_radius", float, path),
-            "texture": _get(parser, "phantom", "texture", float, path),
-            "families": parser.get("phantom", "families"),
-            "edges_per_slice": _get(parser, "phantom", "edges_per_slice", int, path),
-        },
-        split={
-            "train_subjects": _get(parser, "split", "train_subjects", int, path),
-            "val_subjects": _get(parser, "split", "val_subjects", int, path),
-            "test_subjects": _get(parser, "split", "test_subjects", int, path),
-            "slices_per_subject": _get(parser, "split", "slices_per_subject", int, path),
-        },
-        acquisition={
-            "tr_seconds": _get(parser, "acquisition", "tr_seconds", float, path),
-            "etl": _get(parser, "acquisition", "etl", int, path),
-            "n_concat": _get(parser, "acquisition", "n_concat", int, path),
-            "n_bins": _get(parser, "acquisition", "n_bins", int, path),
-            "bin_spacing_khz": _get(parser, "acquisition", "bin_spacing_khz", float, path),
-            "fwhm_khz": _get(parser, "acquisition", "fwhm_khz", float, path),
-            "accel_ky": _get(parser, "acquisition", "accel_ky", int, path),
-            "accel_kz": _get(parser, "acquisition", "accel_kz", int, path),
-            "pf_overscan": _get(parser, "acquisition", "pf_overscan", int, path),
-            "acs_rows": _get(parser, "acquisition", "acs_rows", int, path),
-            "acs_cols": _get(parser, "acquisition", "acs_cols", int, path),
-        },
-        recon={
-            "apod_sigma_fraction": _get(parser, "recon", "apod_sigma_fraction", float, path),
-            "kernel_ky": _get(parser, "recon", "kernel_ky", int, path),
-            "kernel_kz": _get(parser, "recon", "kernel_kz", int, path),
-            "ridge": _get(parser, "recon", "ridge", float, path),
-            "out_rows": _get(parser, "recon", "out_rows", lambda s: int(s) if s else 0, path),
-            "out_cols": _get(parser, "recon", "out_cols", lambda s: int(s) if s else 0, path),
-        },
-        model={
-            "n_levels": _get(parser, "model", "n_levels", int, path),
-            "channels": _get(parser, "model", "channels", _parse_channels, path),
-        },
-        train={
-            "learning_rate": _get(parser, "train", "learning_rate", float, path),
-            "epochs": _get(parser, "train", "epochs", int, path),
-            "batch_size": _get(parser, "train", "batch_size", int, path),
-            "mode": parser.get("train", "mode"),
-        },
-    )
+    values = {
+        section: {key: _get(parser, section, key, conv, path) for key, (_, conv) in keys.items()}
+        for section, keys in _DEFAULTS.items()
+    }
+    cfg = ExperimentConfig(**values.pop("experiment"), **values)
     _validate(cfg, path)
     return cfg
 
@@ -227,8 +187,6 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
 def _validate(cfg: ExperimentConfig, path) -> None:
     if cfg.split["train_subjects"] < 1 or cfg.split["val_subjects"] < 1 or cfg.split["test_subjects"] < 1:
         raise ConfigError("split counts must all be positive")
-    if cfg.train["mode"] not in ("sj", "mj"):
-        raise ConfigError("train mode must be 'sj' or 'mj'")
     if cfg.phantom["families"] not in ("single", "mixed"):
         raise ConfigError("phantom families must be 'single' or 'mixed'")
     n_bins = cfg.acquisition["n_bins"]

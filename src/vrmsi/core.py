@@ -1,4 +1,4 @@
-"""Complex image model, centered Fourier transforms, and the MSSTACK container.
+"""Multi-spectral stacks, centered Fourier transforms, and the MSSTACK container.
 
 Conventions used by every module in this package:
 
@@ -53,42 +53,12 @@ class TruncatedPayloadError(ContainerError):
 
 
 @dataclass(frozen=True)
-class ComplexImage:
-    """A 2D complex array tagged with the domain it lives in.
-
-    The tag flips on every forward/inverse transform; transforming twice
-    restores it.
-    """
-
-    data: np.ndarray
-    domain: str
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.complex128)
-        if data.ndim != 2:
-            raise ValueError(f"expected a 2D array, got shape {data.shape}")
-        if self.domain not in (DOMAIN_IMAGE, DOMAIN_KSPACE):
-            raise ValueError(f"unknown domain tag {self.domain!r}")
-        data = data.copy()
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
 class MultiSpectralStack:
     """Per-slice complex data indexed [bin][coil], plus the bin centers.
 
     ``data`` has shape (n_bins, n_coils, rows, cols); every plane shares the
     same domain tag.  Bin centers must be strictly increasing and uniformly
-    spaced.
+    spaced.  The stack holds its own read-only copy of both arrays.
     """
 
     data: np.ndarray
@@ -97,8 +67,8 @@ class MultiSpectralStack:
     provenance: str = field(default="")
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.complex128)
-        centers = np.asarray(self.bin_centers_khz, dtype=np.float64)
+        data = np.array(self.data, dtype=np.complex128, order="C")
+        centers = np.array(self.bin_centers_khz, dtype=np.float64, order="C")
         if data.ndim != 4:
             raise ValueError(f"expected (bins, coils, rows, cols), got {data.shape}")
         if centers.ndim != 1 or centers.shape[0] != data.shape[0]:
@@ -111,9 +81,7 @@ class MultiSpectralStack:
                 raise ValueError("bin centers must be strictly increasing")
             if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
                 raise ValueError("bin centers must be uniformly spaced")
-        data = data.copy()
         data.setflags(write=False)
-        centers = centers.copy()
         centers.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "bin_centers_khz", centers)
@@ -133,15 +101,6 @@ class MultiSpectralStack:
     @property
     def cols(self) -> int:
         return self.data.shape[3]
-
-    @property
-    def bin_spacing_khz(self) -> float:
-        if self.n_bins < 2:
-            return 0.0
-        return float(self.bin_centers_khz[1] - self.bin_centers_khz[0])
-
-    def image(self, b: int, c: int) -> ComplexImage:
-        return ComplexImage(self.data[b, c], self.domain)
 
     def with_data(self, data: np.ndarray, domain: str) -> "MultiSpectralStack":
         return MultiSpectralStack(data, self.bin_centers_khz, domain, self.provenance)
@@ -164,22 +123,6 @@ def ifft2c(arr: np.ndarray) -> np.ndarray:
 def _check_finite(arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise DataIntegrityError("non-finite values in transform input")
-
-
-def fft2_centered(img: ComplexImage) -> ComplexImage:
-    """Forward transform an image-domain ComplexImage into k-space."""
-    if img.domain != DOMAIN_IMAGE:
-        raise ValueError("fft2_centered expects an image-domain input")
-    _check_finite(img.data)
-    return ComplexImage(fft2c(img.data), DOMAIN_KSPACE)
-
-
-def ifft2_centered(ksp: ComplexImage) -> ComplexImage:
-    """Inverse transform k-space back to the image domain."""
-    if ksp.domain != DOMAIN_KSPACE:
-        raise ValueError("ifft2_centered expects a k-space input")
-    _check_finite(ksp.data)
-    return ComplexImage(ifft2c(ksp.data), DOMAIN_IMAGE)
 
 
 def fft_stack(stack: MultiSpectralStack) -> MultiSpectralStack:
@@ -222,20 +165,6 @@ def crop_center_array(arr: np.ndarray, out_rows: int, out_cols: int) -> np.ndarr
         raise ValueError(f"target dims ({out_rows}, {out_cols}) exceed input ({rows}, {cols})")
     r0, c0 = _center_offsets((rows, cols), (out_rows, out_cols))
     return arr[..., r0:r0 + out_rows, c0:c0 + out_cols].copy()
-
-
-def zero_pad_center(img: ComplexImage, out_rows: int, out_cols: int) -> ComplexImage:
-    """Zero-fill a k-space plane out to a larger matrix, keeping DC centered."""
-    if img.domain != DOMAIN_KSPACE:
-        raise ValueError("zero_pad_center operates on k-space data")
-    return ComplexImage(pad_center_array(img.data, out_rows, out_cols), DOMAIN_KSPACE)
-
-
-def crop_center(ksp: ComplexImage, rows: int, cols: int) -> ComplexImage:
-    """Extract the centered k-space block, inverse of zero_pad_center."""
-    if ksp.domain != DOMAIN_KSPACE:
-        raise ValueError("crop_center operates on k-space data")
-    return ComplexImage(crop_center_array(ksp.data, rows, cols), DOMAIN_KSPACE)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +232,9 @@ def load_stack(path) -> MultiSpectralStack:
         raise TruncatedPayloadError(
             f"{path}: payload holds {len(payload)} bytes, dims imply {expected}"
         )
-    data = np.frombuffer(payload, dtype=dtype).reshape(shape)
     return MultiSpectralStack(
-        data.astype(np.complex128),
-        np.asarray(metadata["bin_centers_khz"], dtype=np.float64),
+        np.frombuffer(payload, dtype=dtype).reshape(shape),
+        metadata["bin_centers_khz"],
         metadata["domain"],
         metadata.get("provenance", ""),
     )

@@ -35,15 +35,12 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    mode: str = "sj"                     # "sj" or "mj"; recorded provenance only
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.mode not in ("sj", "mj"):
-            raise ValueError("mode must be 'sj' or 'mj'")
 
 
 def normalize_slice(x: np.ndarray) -> tuple[np.ndarray, NormStats]:
@@ -200,7 +197,6 @@ def save_model(model: UNet, path, optimizer: Adam | None = None, config: TrainCo
             "epochs": config.epochs,
             "batch_size": config.batch_size,
             "seed": config.seed,
-            "mode": config.mode,
         } if config is not None else None,
         "provenance": provenance,
     }

@@ -112,6 +112,9 @@ def _stage_ready(stage_dir: Path, provenance: dict, force: bool) -> bool:
     if stage_dir.exists() and any(stage_dir.iterdir()) and not prov_path.exists() and not force:
         raise StageExistsError(f"{stage_dir} is not empty; pass --force to overwrite")
     stage_dir.mkdir(parents=True, exist_ok=True)
+    # A rebuild that fails halfway must not leave the old provenance vouching
+    # for a mix of old and new artifacts.
+    prov_path.unlink(missing_ok=True)
     return False
 
 
@@ -143,13 +146,18 @@ def _subject_ids(cfg: ExperimentConfig) -> dict[str, list[str]]:
     }
 
 
+def _family(cfg: ExperimentConfig, subject_idx: int) -> str:
+    """Anatomy of a subject: all knees, or knees and hips alternating by subject."""
+    mixed = cfg.phantom["families"] == "mixed"
+    return "knee" if (not mixed or subject_idx % 2 == 0) else "hip"
+
+
 def _slice_spec(cfg: ExperimentConfig, subject_idx: int, slice_idx: int) -> PhantomSpec:
-    """Jittered geometry for one slice; family alternates by subject."""
+    """Jittered geometry for one slice of the subject's family."""
     p = cfg.phantom
     rows, cols = p["rows"], p["cols"]
     rng = np.random.default_rng([cfg.seed, subject_idx, slice_idx])
-    mixed = p["families"] == "mixed"
-    family = "knee" if (not mixed or subject_idx % 2 == 0) else "hip"
+    family = _family(cfg, subject_idx)
 
     def jit(scale):
         return float(rng.uniform(-scale, scale))
@@ -230,7 +238,13 @@ def _edge_segments(inner: Ellipse, implant: Implant, count, rows, cols, rng):
 # ---------------------------------------------------------------------------
 
 
-def _save_truth(truth: PhantomTruth, stack_path: Path, sidecar_path: Path, extra: dict) -> None:
+def _truth_paths(root: Path, sid: str, slice_idx: int) -> tuple[Path, Path]:
+    subject_dir = root / STAGE_DATASET / sid
+    return subject_dir / f"slice{slice_idx:02d}.truth.msstack", subject_dir / f"slice{slice_idx:02d}.meta.json"
+
+
+def _save_truth(truth: PhantomTruth, root: Path, sid: str, slice_idx: int, extra: dict) -> None:
+    stack_path, sidecar_path = _truth_paths(root, sid, slice_idx)
     channels = np.concatenate(
         [
             truth.proton_density[None].astype(np.complex128),
@@ -247,7 +261,8 @@ def _save_truth(truth: PhantomTruth, stack_path: Path, sidecar_path: Path, extra
     sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
-def _load_truth(stack_path: Path, sidecar_path: Path) -> tuple[PhantomTruth, dict]:
+def _load_truth(root: Path, sid: str, slice_idx: int) -> tuple[PhantomTruth, dict]:
+    stack_path, sidecar_path = _truth_paths(root, sid, slice_idx)
     if not stack_path.exists():
         raise MissingArtifactError(f"missing phantom truth {stack_path}: run the phantom stage")
     stack = load_stack(stack_path)
@@ -279,7 +294,8 @@ def _iter_slices(cfg: ExperimentConfig, roles=("train", "val", "test")):
 
 
 def cmd_phantom(cfg: ExperimentConfig, force: bool = False) -> Path:
-    stage_dir = Path(cfg.out_dir) / STAGE_DATASET
+    root = Path(cfg.out_dir)
+    stage_dir = root / STAGE_DATASET
     provenance = _stage_provenance(cfg, STAGE_DATASET, upstream=[])
     if _stage_ready(stage_dir, provenance, force):
         return stage_dir
@@ -289,17 +305,16 @@ def cmd_phantom(cfg: ExperimentConfig, force: bool = False) -> Path:
     for role in ("train", "val", "test"):
         for sid in ids[role]:
             subject_idx = int(sid[1:])
-            subject_dir = stage_dir / sid
-            subject_dir.mkdir(parents=True, exist_ok=True)
-            mixed = cfg.phantom["families"] == "mixed"
-            family = "knee" if (not mixed or subject_idx % 2 == 0) else "hip"
+            (stage_dir / sid).mkdir(parents=True, exist_ok=True)
+            family = _family(cfg, subject_idx)
             for slice_idx in range(cfg.split["slices_per_subject"]):
                 spec = _slice_spec(cfg, subject_idx, slice_idx)
                 truth = generate_phantom(spec, seed=cfg.seed + 7919 * subject_idx + slice_idx)
                 _save_truth(
                     truth,
-                    subject_dir / f"slice{slice_idx:02d}.truth.msstack",
-                    subject_dir / f"slice{slice_idx:02d}.meta.json",
+                    root,
+                    sid,
+                    slice_idx,
                     {"subject": sid, "slice": slice_idx, "family": family, "role": role},
                 )
             manifest["subjects"].append(
@@ -325,10 +340,7 @@ def cmd_acquire(cfg: ExperimentConfig, force: bool = False) -> Path:
 
     def acquire_one(task):
         _, sid, subject_idx, slice_idx = task
-        truth, _ = _load_truth(
-            root / STAGE_DATASET / sid / f"slice{slice_idx:02d}.truth.msstack",
-            root / STAGE_DATASET / sid / f"slice{slice_idx:02d}.meta.json",
-        )
+        truth, _ = _load_truth(root, sid, slice_idx)
         stack = simulate_bins(truth, centers, fwhm)
         ksp = to_kspace(stack, noise, seed=cfg.seed + 104729 * subject_idx + 13 * slice_idx)
         return sid, slice_idx, ksp
@@ -391,17 +403,12 @@ def _load_method(root: Path, sid: str, slice_idx: int, method: str) -> ReconOutp
     return load_recon(path)
 
 
-def _training_pairs(cfg: ExperimentConfig, roles, input_method: str):
-    """(input bins, reference ACS bins) pairs for the requested subjects."""
-    root = Path(cfg.out_dir)
-    plan = load_plan(root / STAGE_KSPACE / "plan.msstack")
-    acs_bins = plan.bins_with_scheme(ACS_ONLY)
-    pairs = []
-    for _, sid, _, slice_idx in _iter_slices(cfg, roles):
-        inputs = _load_method(root, sid, slice_idx, input_method)
-        reference = _load_method(root, sid, slice_idx, METHOD_REFERENCE)
-        pairs.append((inputs.images, reference.images[acs_bins]))
-    return pairs, acs_bins
+def _training_pairs(root: Path, targets, input_method: str):
+    """(input bins, reference ACS bins) pairs from (subject, slice, target) triples."""
+    return [
+        (_load_method(root, sid, slice_idx, input_method).images, target)
+        for sid, slice_idx, target in targets
+    ]
 
 
 def cmd_train(cfg: ExperimentConfig, force: bool = False) -> Path:
@@ -423,15 +430,24 @@ def cmd_train(cfg: ExperimentConfig, force: bool = False) -> Path:
         epochs=cfg.train["epochs"],
         batch_size=cfg.train["batch_size"],
         seed=cfg.seed,
-        mode=cfg.train["mode"],
     )
+
+    # Both models learn the same REFERENCE ACS bins, so they are read once.
+    acs_bins = load_plan(root / STAGE_KSPACE / "plan.msstack").bins_with_scheme(ACS_ONLY)
+    targets = {
+        role: [
+            (sid, slice_idx, _load_method(root, sid, slice_idx, METHOD_REFERENCE).images[acs_bins])
+            for _, sid, _, slice_idx in _iter_slices(cfg, (role,))
+        ]
+        for role in ("train", "val")
+    }
 
     for variant, input_method, model_seed in (
         ("vr", METHOD_CR_VR, cfg.seed + 1),
         ("zr", METHOD_CR_ZREPLACE, cfg.seed + 2),
     ):
-        train_pairs, _ = _training_pairs(cfg, ("train",), input_method)
-        val_pairs, _ = _training_pairs(cfg, ("val",), input_method)
+        train_pairs = _training_pairs(root, targets["train"], input_method)
+        val_pairs = _training_pairs(root, targets["val"], input_method)
         model = UNet(model_cfg, seed=model_seed)
         model, history, optimizer = train(train_pairs, val_pairs, model, train_cfg)
         save_model(
@@ -519,10 +535,7 @@ def cmd_eval(cfg: ExperimentConfig, force: bool = False, allow_mixed: bool = Fal
     ablation = {METHOD_DL_VR: [], METHOD_DL_ZREPLACE: []}
 
     for _, sid, _, slice_idx in _iter_slices(cfg, roles=("test",)):
-        truth, sidecar = _load_truth(
-            root / STAGE_DATASET / sid / f"slice{slice_idx:02d}.truth.msstack",
-            root / STAGE_DATASET / sid / f"slice{slice_idx:02d}.meta.json",
-        )
+        truth, sidecar = _load_truth(root, sid, slice_idx)
         outputs = {m: _load_method(root, sid, slice_idx, m) for m in methods}
         combined = {m: rsos_bins(outputs[m].images) for m in methods}
         segments = [

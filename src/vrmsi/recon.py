@@ -72,14 +72,13 @@ class ReconOutput:
     mask_provenance: str = ""
 
     def __post_init__(self):
-        images = np.asarray(self.images, dtype=np.float64)
+        images = np.array(self.images, dtype=np.float64, order="C")
         if images.ndim != 3:
             raise ValueError("expected (n_bins, rows, cols)")
         if np.any(images < 0):
             raise ValueError("combined magnitude images must be non-negative")
         if self.method not in ALL_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        images = images.copy()
         images.setflags(write=False)
         object.__setattr__(self, "images", images)
 
@@ -342,5 +341,5 @@ def load_recon(path) -> ReconOutput:
     expected = int(np.prod(shape)) * 4
     if len(payload) != expected:
         raise ValueError(f"{path}: recon payload size mismatch")
-    images = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
+    images = np.frombuffer(payload, dtype="<f4").reshape(shape)
     return ReconOutput(np.maximum(images, 0.0), metadata["method"], metadata.get("provenance", ""))

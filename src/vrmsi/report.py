@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vrmsi.metrics import EvalReport, read_report_csv
+from vrmsi.metrics import read_report_csv
 
 _W, _H = 640, 400
 _MARGIN_L, _MARGIN_B, _MARGIN_T = 70, 50, 30
@@ -106,7 +106,7 @@ def boxplot_svg(samples: dict[str, np.ndarray], title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_report(eval_dir, report_dir, edge_report: EvalReport | None = None) -> Path:
+def render_report(eval_dir, report_dir) -> Path:
     """Read eval CSV/JSON artifacts and emit SVG plots plus a markdown summary."""
     eval_dir = Path(eval_dir)
     report_dir = Path(report_dir)

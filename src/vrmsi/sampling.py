@@ -54,10 +54,9 @@ class SamplingPlan:
     params: AcquisitionParams
 
     def __post_init__(self):
-        masks = np.asarray(self.masks, dtype=bool)
+        masks = np.array(self.masks, dtype=bool, order="C")
         if masks.ndim != 3 or masks.shape[0] != len(self.schemes):
             raise ValueError("one mask and one scheme label per bin")
-        masks = masks.copy()
         masks.setflags(write=False)
         object.__setattr__(self, "masks", masks)
 
@@ -199,7 +198,7 @@ def load_plan(path) -> SamplingPlan:
     shape = (metadata["n_bins"], metadata["rows"], metadata["cols"])
     if len(payload) != math.prod(shape):
         raise ValueError(f"{path}: mask payload size mismatch")
-    masks = np.frombuffer(payload, dtype=np.uint8).reshape(shape).astype(bool)
+    masks = np.frombuffer(payload, dtype=np.uint8).reshape(shape)
     mp = metadata["params"]
     params = AcquisitionParams(
         tr_seconds=mp["tr_seconds"],

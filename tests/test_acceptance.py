@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from vrmsi.config import load_config
-from vrmsi.core import ComplexImage, fft2c, ifft2c, crop_center_array
+from vrmsi.core import fft2c, ifft2c, crop_center_array
 from vrmsi.learn import ModelConfig, TrainConfig, UNet, loss_and_gradients
 from vrmsi.metrics import mann_whitney_u, ssim, summarize
 from vrmsi.phantom import generate_phantom, simulate_bins, to_kspace
@@ -87,7 +87,6 @@ channels = 16,32,64,128,256
 learning_rate = 2e-3
 epochs = 80
 batch_size = 4
-mode = mj
 """
 
 SMALL_INI = """

@@ -6,17 +6,19 @@ import pytest
 from vrmsi.core import (
     BadMagicError,
     BadVersionError,
-    ComplexImage,
     DataIntegrityError,
     MultiSpectralStack,
     TruncatedPayloadError,
-    crop_center,
-    fft2_centered,
-    ifft2_centered,
+    crop_center_array,
+    fft2c,
+    fft_stack,
+    ifft2c,
+    ifft_stack,
     load_stack,
+    pad_center_array,
     save_stack,
-    zero_pad_center,
 )
+from vrmsi.recon import ReconOutput, load_recon, save_recon
 
 
 def dft2_oracle(x):
@@ -36,124 +38,113 @@ def dft2_oracle(x):
     return out / np.sqrt(rows * cols)
 
 
-def random_image(rows, cols, seed=0, domain="image"):
+def random_image(rows, cols, seed=0):
     rng = np.random.default_rng(seed)
-    data = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    return ComplexImage(data, domain)
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def plane_stack(data, domain):
+    """One bin, one coil: a single plane as a stack."""
+    return MultiSpectralStack(data[None, None], np.zeros(1), domain)
 
 
 class TestFft:
     def test_center_impulse_transforms_to_constant(self):
         x = np.zeros((8, 8), dtype=complex)
         x[4, 4] = 1.0
-        k = fft2_centered(ComplexImage(x, "image"))
-        assert k.domain == "kspace"
-        assert np.allclose(k.data, 1.0 / 8.0, atol=1e-14)
+        assert np.allclose(fft2c(x), 1.0 / 8.0, atol=1e-14)
 
     def test_round_trip_identity(self):
         img = random_image(32, 32, seed=5)
-        back = ifft2_centered(fft2_centered(img))
-        assert back.domain == "image"
-        assert np.max(np.abs(back.data - img.data)) / np.max(np.abs(img.data)) < 1e-12
+        back = ifft2c(fft2c(img))
+        assert np.max(np.abs(back - img)) / np.max(np.abs(img)) < 1e-12
 
     def test_parseval_energy(self):
         img = random_image(16, 16, seed=2)
-        k = fft2_centered(img)
-        assert abs(np.sum(np.abs(img.data) ** 2) - np.sum(np.abs(k.data) ** 2)) < 1e-10
+        k = fft2c(img)
+        assert abs(np.sum(np.abs(img) ** 2) - np.sum(np.abs(k) ** 2)) < 1e-10
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_direct_dft_sum(self, seed):
         img = random_image(8, 8, seed=seed)
-        k = fft2_centered(img)
-        expected = dft2_oracle(img.data)
-        assert np.max(np.abs(k.data - expected)) < 1e-9
+        assert np.max(np.abs(fft2c(img) - dft2_oracle(img))) < 1e-9
 
     def test_inverse_of_constant_is_impulse(self):
-        k = ComplexImage(np.full((8, 8), 1.0 / 8.0, dtype=complex), "kspace")
-        img = ifft2_centered(k)
+        img = ifft2c(np.full((8, 8), 1.0 / 8.0, dtype=complex))
         expected = np.zeros((8, 8), dtype=complex)
         expected[4, 4] = 1.0
-        assert np.allclose(img.data, expected, atol=1e-13)
+        assert np.allclose(img, expected, atol=1e-13)
 
     def test_zero_in_zero_out(self):
-        k = ComplexImage(np.zeros((6, 6), dtype=complex), "kspace")
-        assert np.all(ifft2_centered(k).data == 0)
+        assert np.all(ifft2c(np.zeros((6, 6), dtype=complex)) == 0)
 
     def test_domain_tag_enforced(self):
-        img = random_image(8, 8)
+        img = plane_stack(random_image(8, 8), "image")
         with pytest.raises(ValueError):
-            ifft2_centered(img)
+            ifft_stack(img)
         with pytest.raises(ValueError):
-            fft2_centered(fft2_centered(img))
+            fft_stack(fft_stack(img))
 
     def test_non_finite_rejected(self):
         data = np.ones((4, 4), dtype=complex)
         data[1, 1] = np.nan
         with pytest.raises(DataIntegrityError):
-            fft2_centered(ComplexImage(data, "image"))
+            fft_stack(plane_stack(data, "image"))
+        data[1, 1] = np.inf
+        with pytest.raises(DataIntegrityError):
+            ifft_stack(plane_stack(data, "kspace"))
 
     def test_unitarity_norm_preserved(self):
         for seed in range(4):
             img = random_image(12, 20, seed=seed)
-            k = fft2_centered(img)
-            assert abs(np.linalg.norm(k.data) - np.linalg.norm(img.data)) < 1e-10
+            assert abs(np.linalg.norm(fft2c(img)) - np.linalg.norm(img)) < 1e-10
 
 
 class TestPadCrop:
     def test_pad_384x256_to_512(self):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((384, 256)) + 0j
-        padded = zero_pad_center(ComplexImage(data, "kspace"), 512, 512)
-        assert padded.data.shape == (512, 512)
-        assert np.array_equal(padded.data[64:448, 128:384], data)
+        padded = pad_center_array(data, 512, 512)
+        assert padded.shape == (512, 512)
+        assert np.array_equal(padded[64:448, 128:384], data)
 
     def test_pad_to_same_dims_is_identity(self):
-        img = random_image(16, 12, domain="kspace")
-        assert np.array_equal(zero_pad_center(img, 16, 12).data, img.data)
+        img = random_image(16, 12)
+        assert np.array_equal(pad_center_array(img, 16, 12), img)
 
     def test_pad_preserves_energy(self):
-        img = random_image(10, 14, domain="kspace")
-        padded = zero_pad_center(img, 32, 32)
-        assert np.isclose(np.sum(np.abs(padded.data) ** 2), np.sum(np.abs(img.data) ** 2))
+        img = random_image(10, 14)
+        padded = pad_center_array(img, 32, 32)
+        assert np.isclose(np.sum(np.abs(padded) ** 2), np.sum(np.abs(img) ** 2))
 
     def test_pad_rejects_shrink(self):
-        img = random_image(16, 16, domain="kspace")
         with pytest.raises(ValueError):
-            zero_pad_center(img, 8, 32)
+            pad_center_array(random_image(16, 16), 8, 32)
 
     def test_crop_inverts_pad(self):
-        img = random_image(24, 18, domain="kspace")
-        padded = zero_pad_center(img, 64, 50)
-        assert np.array_equal(crop_center(padded, 24, 18).data, img.data)
+        img = random_image(24, 18)
+        padded = pad_center_array(img, 64, 50)
+        assert np.array_equal(crop_center_array(padded, 24, 18), img)
 
     def test_crop_16x16_center(self):
-        img = random_image(256, 32, domain="kspace")
-        cropped = crop_center(img, 16, 16)
-        assert cropped.data.shape == (16, 16)
-        assert np.array_equal(cropped.data, img.data[120:136, 8:24])
+        img = random_image(256, 32)
+        cropped = crop_center_array(img, 16, 16)
+        assert cropped.shape == (16, 16)
+        assert np.array_equal(cropped, img[120:136, 8:24])
 
     def test_crop_full_size_identity(self):
-        img = random_image(16, 16, domain="kspace")
-        assert np.array_equal(crop_center(img, 16, 16).data, img.data)
+        img = random_image(16, 16)
+        assert np.array_equal(crop_center_array(img, 16, 16), img)
 
     def test_crop_rejects_growth(self):
-        img = random_image(8, 8, domain="kspace")
         with pytest.raises(ValueError):
-            crop_center(img, 16, 4)
+            crop_center_array(random_image(8, 8), 16, 4)
 
     def test_odd_difference_extra_goes_high(self):
-        img = ComplexImage(np.ones((5, 5), dtype=complex), "kspace")
-        padded = zero_pad_center(img, 8, 8)
+        padded = pad_center_array(np.ones((5, 5), dtype=complex), 8, 8)
         # floor split: one zero row below, two above
-        assert np.all(padded.data[0] == 0) and np.all(padded.data[1:6, 1:6] == 1)
-        assert np.all(padded.data[6:] == 0)
-
-    def test_domain_guard(self):
-        img = random_image(8, 8, domain="image")
-        with pytest.raises(ValueError):
-            zero_pad_center(img, 16, 16)
-        with pytest.raises(ValueError):
-            crop_center(img, 4, 4)
+        assert np.all(padded[0] == 0) and np.all(padded[1:6, 1:6] == 1)
+        assert np.all(padded[6:] == 0)
 
 
 def random_stack(seed=0, n_bins=8, n_coils=2, rows=64, cols=64):
@@ -235,3 +226,25 @@ class TestStackInvariants:
         back = ifft_stack(ksp)
         assert back.domain == "image"
         assert np.max(np.abs(back.data - image_stack64.data)) < 1e-12
+
+    def test_held_arrays_are_read_only_copies(self, tmp_path):
+        data = np.ones((2, 1, 4, 4), dtype=complex)
+        centers = np.array([0.0, 1.0])
+        images = np.ones((2, 4, 4))
+        stack = MultiSpectralStack(data, centers, "image")
+        recon = ReconOutput(images, "CR_VR")
+        save_stack(stack, tmp_path / "stack.msstack")
+        save_recon(recon, tmp_path / "recon.msstack")
+        held = {
+            "stack.data": (stack.data, data),
+            "stack.bin_centers_khz": (stack.bin_centers_khz, centers),
+            "recon.images": (recon.images, images),
+            "load_stack": (load_stack(tmp_path / "stack.msstack").data, data),
+            "load_recon": (load_recon(tmp_path / "recon.msstack").images, images),
+        }
+        for name, (arr, caller) in held.items():
+            assert not arr.flags.writeable, name
+            assert arr.flags.owndata and not np.shares_memory(arr, caller), name
+        data[0, 0, 0, 0] = 5
+        images[0, 0, 0] = 5
+        assert stack.data[0, 0, 0, 0] == 1 and recon.images[0, 0, 0] == 1

@@ -288,12 +288,11 @@ class TestTrain:
         # two training regimes on homogeneous vs heterogeneous data end up
         # within a modest factor of each other
         config = ModelConfig(4, 2, 2, (6, 8))
-        tc = TrainConfig(learning_rate=3e-3, epochs=10, batch_size=4, seed=5, mode="sj")
+        tc = TrainConfig(learning_rate=3e-3, epochs=10, batch_size=4, seed=5)
         single = tiny_dataset(12, seed=1)
         _, h_single, _ = train(single, single[:4], UNet(config, seed=0), tc)
         mixed = tiny_dataset(6, seed=1) + tiny_dataset(6, seed=99, sharp=False)
-        tc_mj = TrainConfig(learning_rate=3e-3, epochs=10, batch_size=4, seed=5, mode="mj")
-        _, h_mixed, _ = train(mixed, mixed[:4], UNet(config, seed=0), tc_mj)
+        _, h_mixed, _ = train(mixed, mixed[:4], UNet(config, seed=0), tc)
         assert h_single[-1][2] < 3 * h_mixed[-1][2] or h_mixed[-1][2] < 3 * h_single[-1][2]
 
     def test_non_finite_loss_raises(self):

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vrmsi import pipeline
 from vrmsi.cli import main
 from vrmsi.config import ConfigError, load_config
+from vrmsi.core import save_stack
 from vrmsi.metrics import EvalReport, read_report_csv, write_report_csv
 from vrmsi.pipeline import (
     MissingArtifactError,
@@ -201,6 +203,35 @@ class TestStages:
         with pytest.raises(StageExistsError):
             cmd_phantom(cfg)
         cmd_phantom(cfg, force=True)
+
+    def test_failed_rebuild_is_not_a_cache_hit(self, tmp_path, monkeypatch):
+        cfg_a = tiny_config(tmp_path, out_name="flaky")
+        cfg_b = tiny_config(tmp_path, out_name="flaky", **{"acquisition.fwhm_khz": 1.5})
+        cmd_phantom(cfg_a)
+        cmd_acquire(cfg_a)
+        kspace = Path(cfg_a.out_dir) / "kspace"
+        bytes_a = {p: p.read_bytes() for p in kspace.rglob("*.msstack")}
+
+        calls = []
+
+        def fail_after_three(stack, path):
+            if len(calls) == 3:
+                raise OSError("disk full")
+            calls.append(path)
+            save_stack(stack, path)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "save_stack", fail_after_three)
+            with pytest.raises(OSError):
+                cmd_acquire(cfg_b)
+        assert calls and all(p.read_bytes() != bytes_a[p] for p in calls)
+
+        argv = ["acquire", "--config", str(tmp_path / "exp.ini")]
+        with pytest.raises(StageExistsError):
+            cmd_acquire(cfg_a)
+        assert main(argv) == 2
+        assert main(argv + ["--force"]) == 0
+        assert {p: p.read_bytes() for p in kspace.rglob("*.msstack")} == bytes_a
 
     def test_eval_refuses_mixed_provenance(self, pipeline_run):
         prov_path = Path(pipeline_run.out_dir) / "dataset" / "provenance.json"
