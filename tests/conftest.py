@@ -10,6 +10,19 @@ DESK_BIN_CENTERS = (np.arange(8) - 3.5) * 1.0
 DESK_FWHM = 2.25
 
 
+def pytest_collection_modifyitems(items):
+    """Run the acceptance module last, and its desk-run criteria after its
+    other tests.  The desk-scale fixture trains two U-Nets for minutes while
+    every other test takes seconds, so a time-boxed run reports those first."""
+
+    def rank(item):
+        if not item.nodeid.startswith("tests/test_acceptance.py"):
+            return 0
+        return 2 if "desk_run" in item.fixturenames else 1
+
+    items.sort(key=rank)
+
+
 def small_spec(rows=64, cols=64, n_coils=4, noise_sigma=0.0):
     return PhantomSpec(
         rows=rows,
