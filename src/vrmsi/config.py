@@ -11,6 +11,7 @@ import configparser
 import hashlib
 from dataclasses import dataclass
 
+from vrmsi.recon import DEFAULT_APOD_SIGMA_FRACTION, DEFAULT_KERNEL_TAPS, DEFAULT_RIDGE
 from vrmsi.sampling import AcquisitionParams
 
 
@@ -69,10 +70,10 @@ _DEFAULTS = {
         "acs_cols": ("16", int),
     },
     "recon": {
-        "apod_sigma_fraction": ("0.25", float),
-        "kernel_ky": ("5", int),
-        "kernel_kz": ("4", int),
-        "ridge": ("1e-4", float),
+        "apod_sigma_fraction": (str(DEFAULT_APOD_SIGMA_FRACTION), float),
+        "kernel_ky": (str(DEFAULT_KERNEL_TAPS[0]), int),
+        "kernel_kz": (str(DEFAULT_KERNEL_TAPS[1]), int),
+        "ridge": (str(DEFAULT_RIDGE), float),
         "out_rows": ("", _optional_int),
         "out_cols": ("", _optional_int),
     },

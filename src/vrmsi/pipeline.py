@@ -1,9 +1,12 @@
 """Staged experiment pipeline: phantom -> acquire -> recon -> train -> infer -> eval.
 
 Every stage writes its artifacts plus a ``provenance.json`` capturing the
-config hash, tool version, seeds, and hashes of the upstream provenance
-files.  Re-running a stage whose provenance already matches is a no-op;
-``force`` rebuilds.  Stages are deterministic given config and seed.
+config hash, tool version, seeds, hashes of the upstream provenance files,
+and every artifact in the stage directory with its byte size.  Re-running a
+stage is a no-op when its provenance matches and every listed artifact is
+present at its recorded size; otherwise, or with ``force``, the stage
+rebuilds after removing the provenance and the artifacts it lists.  Stages
+are deterministic given config and seed.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from vrmsi.recon import (
 from vrmsi.sampling import ACS_ONLY, build_vr_plan, load_plan, save_plan
 
 PROVENANCE = "provenance.json"
+PLAN = "plan.msstack"
 
 STAGE_DATASET = "dataset"
 STAGE_KSPACE = "kspace"
@@ -82,8 +86,14 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
-def _stage_provenance(cfg: ExperimentConfig, stage: str, upstream: list[str]) -> dict:
+def _run_stage(cfg: ExperimentConfig, stage: str, upstream: list[str], force: bool, build) -> Path:
+    """Run ``build(root, stage_dir)`` unless the stage's cached artifacts are current.
+
+    A provenance file that lists no artifacts vouches for nothing, so it is
+    never a cache hit.
+    """
     root = Path(cfg.out_dir)
+    stage_dir = root / stage
     inputs = {}
     for up in upstream:
         prov = root / up / PROVENANCE
@@ -92,7 +102,7 @@ def _stage_provenance(cfg: ExperimentConfig, stage: str, upstream: list[str]) ->
                 f"stage '{stage}' needs stage '{up}': run it first (missing {prov})"
             )
         inputs[f"{up}/{PROVENANCE}"] = _sha256_file(prov)
-    return {
+    provenance = {
         "stage": stage,
         "tool_version": __version__,
         "config_hash": cfg.config_hash(),
@@ -101,25 +111,33 @@ def _stage_provenance(cfg: ExperimentConfig, stage: str, upstream: list[str]) ->
         "input_hashes": inputs,
     }
 
-
-def _stage_ready(stage_dir: Path, provenance: dict, force: bool) -> bool:
-    """True when the stage is already up to date; raises on conflicts."""
     prov_path = stage_dir / PROVENANCE
     if prov_path.exists():
-        existing = json.loads(prov_path.read_text())
-        if existing == provenance and not force:
-            return True
-    if stage_dir.exists() and any(stage_dir.iterdir()) and not prov_path.exists() and not force:
+        recorded = json.loads(prov_path.read_text())
+        artifacts = recorded.pop("artifacts", {})
+        if not force and recorded == provenance and artifacts and all(
+            (stage_dir / rel).is_file() and (stage_dir / rel).stat().st_size == size
+            for rel, size in artifacts.items()
+        ):
+            return stage_dir
+        # A rebuild that fails halfway must not leave the old provenance
+        # vouching for a mix of old and new artifacts, and a rebuild under a
+        # new config must not leave the old config's artifacts behind.
+        prov_path.unlink()
+        for rel in artifacts:
+            (stage_dir / rel).unlink(missing_ok=True)
+    elif stage_dir.exists() and any(stage_dir.iterdir()) and not force:
         raise StageExistsError(f"{stage_dir} is not empty; pass --force to overwrite")
     stage_dir.mkdir(parents=True, exist_ok=True)
-    # A rebuild that fails halfway must not leave the old provenance vouching
-    # for a mix of old and new artifacts.
-    prov_path.unlink(missing_ok=True)
-    return False
 
-
-def _finish_stage(stage_dir: Path, provenance: dict) -> None:
-    (stage_dir / PROVENANCE).write_text(json.dumps(provenance, indent=2, sort_keys=True) + "\n")
+    build(root, stage_dir)
+    provenance["artifacts"] = {
+        path.relative_to(stage_dir).as_posix(): path.stat().st_size
+        for path in stage_dir.rglob("*")
+        if path.is_file()
+    }
+    prov_path.write_text(json.dumps(provenance, indent=2, sort_keys=True) + "\n")
+    return stage_dir
 
 
 def _parallel(jobs: int, fn, items):
@@ -238,13 +256,14 @@ def _edge_segments(inner: Ellipse, implant: Implant, count, rows, cols, rng):
 # ---------------------------------------------------------------------------
 
 
-def _truth_paths(root: Path, sid: str, slice_idx: int) -> tuple[Path, Path]:
-    subject_dir = root / STAGE_DATASET / sid
-    return subject_dir / f"slice{slice_idx:02d}.truth.msstack", subject_dir / f"slice{slice_idx:02d}.meta.json"
+def _slice_path(root: Path, stage: str, sid: str, slice_idx: int, kind: str) -> Path:
+    """Where one slice's artifact of the given kind lives; creates nothing."""
+    return root / stage / sid / f"slice{slice_idx:02d}.{kind}"
 
 
 def _save_truth(truth: PhantomTruth, root: Path, sid: str, slice_idx: int, extra: dict) -> None:
-    stack_path, sidecar_path = _truth_paths(root, sid, slice_idx)
+    stack_path = _slice_path(root, STAGE_DATASET, sid, slice_idx, "truth.msstack")
+    stack_path.parent.mkdir(exist_ok=True)
     channels = np.concatenate(
         [
             truth.proton_density[None].astype(np.complex128),
@@ -258,25 +277,26 @@ def _save_truth(truth: PhantomTruth, root: Path, sid: str, slice_idx: int, extra
     save_stack(stack, stack_path)
     sidecar = dict(extra)
     sidecar["edge_segments"] = [[list(p0), list(p1)] for p0, p1 in truth.edge_segments]
-    sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _slice_path(root, STAGE_DATASET, sid, slice_idx, "meta.json").write_text(
+        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    )
 
 
-def _load_truth(root: Path, sid: str, slice_idx: int) -> tuple[PhantomTruth, dict]:
-    stack_path, sidecar_path = _truth_paths(root, sid, slice_idx)
+def _load_truth(root: Path, sid: str, slice_idx: int) -> PhantomTruth:
+    stack_path = _slice_path(root, STAGE_DATASET, sid, slice_idx, "truth.msstack")
     if not stack_path.exists():
         raise MissingArtifactError(f"missing phantom truth {stack_path}: run the phantom stage")
     stack = load_stack(stack_path)
-    sidecar = json.loads(sidecar_path.read_text())
+    sidecar = json.loads(_slice_path(root, STAGE_DATASET, sid, slice_idx, "meta.json").read_text())
     segments = tuple(
         (tuple(p0), tuple(p1)) for p0, p1 in sidecar["edge_segments"]
     )
-    truth = PhantomTruth(
+    return PhantomTruth(
         np.real(stack.data[0, 0]),
         np.real(stack.data[1, 0]),
         stack.data[2:, 0],
         segments,
     )
-    return truth, sidecar
 
 
 def _iter_slices(cfg: ExperimentConfig, roles=("train", "val", "test")):
@@ -288,115 +308,97 @@ def _iter_slices(cfg: ExperimentConfig, roles=("train", "val", "test")):
                 yield role, sid, subject_idx, slice_idx
 
 
+def _load_plan(root: Path):
+    return load_plan(root / STAGE_KSPACE / PLAN)
+
+
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
 
 
 def cmd_phantom(cfg: ExperimentConfig, force: bool = False) -> Path:
-    root = Path(cfg.out_dir)
-    stage_dir = root / STAGE_DATASET
-    provenance = _stage_provenance(cfg, STAGE_DATASET, upstream=[])
-    if _stage_ready(stage_dir, provenance, force):
-        return stage_dir
-
-    manifest = {"subjects": [], "dataset_hash": cfg.dataset_hash()}
-    ids = _subject_ids(cfg)
-    for role in ("train", "val", "test"):
-        for sid in ids[role]:
-            subject_idx = int(sid[1:])
-            (stage_dir / sid).mkdir(parents=True, exist_ok=True)
+    def build(root, stage_dir):
+        manifest = {"subjects": [], "dataset_hash": cfg.dataset_hash()}
+        for role, sid, subject_idx, slice_idx in _iter_slices(cfg):
             family = _family(cfg, subject_idx)
-            for slice_idx in range(cfg.split["slices_per_subject"]):
-                spec = _slice_spec(cfg, subject_idx, slice_idx)
-                truth = generate_phantom(spec, seed=cfg.seed + 7919 * subject_idx + slice_idx)
-                _save_truth(
-                    truth,
-                    root,
-                    sid,
-                    slice_idx,
-                    {"subject": sid, "slice": slice_idx, "family": family, "role": role},
+            if slice_idx == 0:
+                manifest["subjects"].append(
+                    {"id": sid, "role": role, "family": family, "slices": cfg.split["slices_per_subject"]}
                 )
-            manifest["subjects"].append(
-                {"id": sid, "role": role, "family": family, "slices": cfg.split["slices_per_subject"]}
+            spec = _slice_spec(cfg, subject_idx, slice_idx)
+            truth = generate_phantom(spec, seed=cfg.seed + 7919 * subject_idx + slice_idx)
+            _save_truth(
+                truth,
+                root,
+                sid,
+                slice_idx,
+                {"subject": sid, "slice": slice_idx, "family": family, "role": role},
             )
-    (stage_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    _finish_stage(stage_dir, provenance)
-    return stage_dir
+        (stage_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+    return _run_stage(cfg, STAGE_DATASET, [], force, build)
 
 
 def cmd_acquire(cfg: ExperimentConfig, force: bool = False) -> Path:
-    root = Path(cfg.out_dir)
-    stage_dir = root / STAGE_KSPACE
-    provenance = _stage_provenance(cfg, STAGE_KSPACE, upstream=[STAGE_DATASET])
-    if _stage_ready(stage_dir, provenance, force):
-        return stage_dir
+    def build(root, stage_dir):
+        save_plan(build_vr_plan(cfg.acquisition_params()), stage_dir / PLAN)
+        centers = np.asarray(cfg.bin_centers())
+        fwhm = cfg.acquisition["fwhm_khz"]
+        noise = cfg.phantom["noise_sigma"]
 
-    plan = build_vr_plan(cfg.acquisition_params())
-    save_plan(plan, stage_dir / "plan.msstack")
-    centers = np.asarray(cfg.bin_centers())
-    fwhm = cfg.acquisition["fwhm_khz"]
-    noise = cfg.phantom["noise_sigma"]
+        def acquire_one(task):
+            _, sid, subject_idx, slice_idx = task
+            truth = _load_truth(root, sid, slice_idx)
+            stack = simulate_bins(truth, centers, fwhm)
+            ksp = to_kspace(stack, noise, seed=cfg.seed + 104729 * subject_idx + 13 * slice_idx)
+            return sid, slice_idx, ksp
 
-    def acquire_one(task):
-        _, sid, subject_idx, slice_idx = task
-        truth, _ = _load_truth(root, sid, slice_idx)
-        stack = simulate_bins(truth, centers, fwhm)
-        ksp = to_kspace(stack, noise, seed=cfg.seed + 104729 * subject_idx + 13 * slice_idx)
-        return sid, slice_idx, ksp
+        for sid, slice_idx, ksp in _parallel(cfg.jobs, acquire_one, list(_iter_slices(cfg))):
+            path = _slice_path(root, STAGE_KSPACE, sid, slice_idx, "ksp.msstack")
+            path.parent.mkdir(exist_ok=True)
+            save_stack(ksp, path)
 
-    tasks = list(_iter_slices(cfg))
-    for sid, slice_idx, ksp in _parallel(cfg.jobs, acquire_one, tasks):
-        subject_dir = stage_dir / sid
-        subject_dir.mkdir(parents=True, exist_ok=True)
-        save_stack(ksp, subject_dir / f"slice{slice_idx:02d}.ksp.msstack")
-    _finish_stage(stage_dir, provenance)
-    return stage_dir
+    return _run_stage(cfg, STAGE_KSPACE, [STAGE_DATASET], force, build)
 
 
 def cmd_recon(cfg: ExperimentConfig, force: bool = False) -> Path:
-    root = Path(cfg.out_dir)
-    stage_dir = root / STAGE_RECON
-    provenance = _stage_provenance(cfg, STAGE_RECON, upstream=[STAGE_KSPACE])
-    if _stage_ready(stage_dir, provenance, force):
-        return stage_dir
+    def build(root, stage_dir):
+        plan = _load_plan(root)
+        out_shape = cfg.out_shape()
+        r = cfg.recon
 
-    plan = load_plan(root / STAGE_KSPACE / "plan.msstack")
-    out_shape = cfg.out_shape()
-    r = cfg.recon
+        def recon_one(task):
+            _, sid, _, slice_idx = task
+            ksp_path = _slice_path(root, STAGE_KSPACE, sid, slice_idx, "ksp.msstack")
+            if not ksp_path.exists():
+                raise MissingArtifactError(f"missing k-space {ksp_path}: run the acquire stage")
+            ksp = load_stack(ksp_path)
+            outputs = {}
+            for method in (METHOD_REFERENCE, METHOD_CR_VR, METHOD_CR_ZREPLACE):
+                outputs[method] = reconstruct(
+                    plan,
+                    ksp,
+                    method,
+                    out_shape=out_shape,
+                    apod_sigma_fraction=r["apod_sigma_fraction"],
+                    kernel_taps=(r["kernel_ky"], r["kernel_kz"]),
+                    ridge=r["ridge"],
+                )
+            return sid, slice_idx, outputs
 
-    def recon_one(task):
-        _, sid, _, slice_idx = task
-        ksp_path = root / STAGE_KSPACE / sid / f"slice{slice_idx:02d}.ksp.msstack"
-        if not ksp_path.exists():
-            raise MissingArtifactError(f"missing k-space {ksp_path}: run the acquire stage")
-        ksp = load_stack(ksp_path)
-        outputs = {}
-        for method in (METHOD_REFERENCE, METHOD_CR_VR, METHOD_CR_ZREPLACE):
-            outputs[method] = reconstruct(
-                plan,
-                ksp,
-                method,
-                out_shape=out_shape,
-                apod_sigma_fraction=r["apod_sigma_fraction"],
-                kernel_taps=(r["kernel_ky"], r["kernel_kz"]),
-                ridge=r["ridge"],
-            )
-        return sid, slice_idx, outputs
+        for sid, slice_idx, outputs in _parallel(cfg.jobs, recon_one, list(_iter_slices(cfg))):
+            for method, output in outputs.items():
+                path = _slice_path(root, STAGE_RECON, sid, slice_idx, f"{method}.msstack")
+                path.parent.mkdir(exist_ok=True)
+                save_recon(output, path)
 
-    tasks = list(_iter_slices(cfg))
-    for sid, slice_idx, outputs in _parallel(cfg.jobs, recon_one, tasks):
-        subject_dir = stage_dir / sid
-        subject_dir.mkdir(parents=True, exist_ok=True)
-        for method, output in outputs.items():
-            save_recon(output, subject_dir / f"slice{slice_idx:02d}.{method}.msstack")
-    _finish_stage(stage_dir, provenance)
-    return stage_dir
+    return _run_stage(cfg, STAGE_RECON, [STAGE_KSPACE], force, build)
 
 
 def _load_method(root: Path, sid: str, slice_idx: int, method: str) -> ReconOutput:
     stage = STAGE_INFERRED if method in (METHOD_DL_VR, METHOD_DL_ZREPLACE) else STAGE_RECON
-    path = root / stage / sid / f"slice{slice_idx:02d}.{method}.msstack"
+    path = _slice_path(root, stage, sid, slice_idx, f"{method}.msstack")
     if not path.exists():
         missing_stage = "infer" if stage == STAGE_INFERRED else "recon"
         raise MissingArtifactError(f"missing {method} output {path}: run the {missing_stage} stage")
@@ -412,86 +414,78 @@ def _training_pairs(root: Path, targets, input_method: str):
 
 
 def cmd_train(cfg: ExperimentConfig, force: bool = False) -> Path:
-    root = Path(cfg.out_dir)
-    stage_dir = root / STAGE_MODELS
-    provenance = _stage_provenance(cfg, STAGE_MODELS, upstream=[STAGE_RECON])
-    if _stage_ready(stage_dir, provenance, force):
-        return stage_dir
-
-    n_bins = cfg.acquisition["n_bins"]
-    model_cfg = ModelConfig(
-        in_channels=n_bins,
-        out_channels=n_bins // 2,
-        n_levels=cfg.model["n_levels"],
-        channels=cfg.model["channels"],
-    )
-    train_cfg = TrainConfig(
-        learning_rate=cfg.train["learning_rate"],
-        epochs=cfg.train["epochs"],
-        batch_size=cfg.train["batch_size"],
-        seed=cfg.seed,
-    )
-
-    # Both models learn the same REFERENCE ACS bins, so they are read once.
-    acs_bins = load_plan(root / STAGE_KSPACE / "plan.msstack").bins_with_scheme(ACS_ONLY)
-    targets = {
-        role: [
-            (sid, slice_idx, _load_method(root, sid, slice_idx, METHOD_REFERENCE).images[acs_bins])
-            for _, sid, _, slice_idx in _iter_slices(cfg, (role,))
-        ]
-        for role in ("train", "val")
-    }
-
-    for variant, input_method, model_seed in (
-        ("vr", METHOD_CR_VR, cfg.seed + 1),
-        ("zr", METHOD_CR_ZREPLACE, cfg.seed + 2),
-    ):
-        train_pairs = _training_pairs(root, targets["train"], input_method)
-        val_pairs = _training_pairs(root, targets["val"], input_method)
-        model = UNet(model_cfg, seed=model_seed)
-        model, history, optimizer = train(train_pairs, val_pairs, model, train_cfg)
-        save_model(
-            model,
-            stage_dir / f"model_{variant}.msmodel",
-            optimizer=optimizer,
-            config=train_cfg,
-            provenance=f"{variant}:{input_method}",
+    def build(root, stage_dir):
+        n_bins = cfg.acquisition["n_bins"]
+        model_cfg = ModelConfig(
+            in_channels=n_bins,
+            out_channels=n_bins // 2,
+            n_levels=cfg.model["n_levels"],
+            channels=cfg.model["channels"],
         )
-        save_history(history, stage_dir / f"loss_{variant}.csv")
-    _finish_stage(stage_dir, provenance)
-    return stage_dir
+        train_cfg = TrainConfig(
+            learning_rate=cfg.train["learning_rate"],
+            epochs=cfg.train["epochs"],
+            batch_size=cfg.train["batch_size"],
+            seed=cfg.seed,
+        )
+
+        # Both models learn the same REFERENCE ACS bins, so they are read once.
+        acs_bins = _load_plan(root).bins_with_scheme(ACS_ONLY)
+        targets = {
+            role: [
+                (sid, slice_idx, _load_method(root, sid, slice_idx, METHOD_REFERENCE).images[acs_bins])
+                for _, sid, _, slice_idx in _iter_slices(cfg, (role,))
+            ]
+            for role in ("train", "val")
+        }
+
+        for variant, input_method, model_seed in (
+            ("vr", METHOD_CR_VR, cfg.seed + 1),
+            ("zr", METHOD_CR_ZREPLACE, cfg.seed + 2),
+        ):
+            train_pairs = _training_pairs(root, targets["train"], input_method)
+            val_pairs = _training_pairs(root, targets["val"], input_method)
+            model = UNet(model_cfg, seed=model_seed)
+            model, history, optimizer = train(train_pairs, val_pairs, model, train_cfg)
+            save_model(
+                model,
+                stage_dir / f"model_{variant}.msmodel",
+                optimizer=optimizer,
+                config=train_cfg,
+                provenance=f"{variant}:{input_method}",
+            )
+            save_history(history, stage_dir / f"loss_{variant}.csv")
+
+    return _run_stage(cfg, STAGE_MODELS, [STAGE_RECON], force, build)
 
 
 def cmd_infer(cfg: ExperimentConfig, force: bool = False) -> Path:
-    root = Path(cfg.out_dir)
-    stage_dir = root / STAGE_INFERRED
-    provenance = _stage_provenance(cfg, STAGE_INFERRED, upstream=[STAGE_RECON, STAGE_MODELS])
-    if _stage_ready(stage_dir, provenance, force):
-        return stage_dir
+    def build(root, stage_dir):
+        plan = _load_plan(root)
+        model_vr, _ = load_model(root / STAGE_MODELS / "model_vr.msmodel")
+        model_zr, _ = load_model(root / STAGE_MODELS / "model_zr.msmodel")
 
-    plan = load_plan(root / STAGE_KSPACE / "plan.msstack")
-    model_vr, _ = load_model(root / STAGE_MODELS / "model_vr.msmodel")
-    model_zr, _ = load_model(root / STAGE_MODELS / "model_zr.msmodel")
+        def infer_one(task):
+            _, sid, _, slice_idx = task
+            cr_vr = _load_method(root, sid, slice_idx, METHOD_CR_VR)
+            cr_zr = _load_method(root, sid, slice_idx, METHOD_CR_ZREPLACE)
+            return (
+                sid,
+                slice_idx,
+                {
+                    METHOD_DL_VR: infer_full_stack(model_vr, cr_vr, plan),
+                    METHOD_DL_ZREPLACE: infer_zreplace(model_zr, cr_zr, plan),
+                },
+            )
 
-    def infer_one(task):
-        _, sid, _, slice_idx = task
-        cr_vr = _load_method(root, sid, slice_idx, METHOD_CR_VR)
-        cr_zr = _load_method(root, sid, slice_idx, METHOD_CR_ZREPLACE)
-        return (
-            sid,
-            slice_idx,
-            infer_full_stack(model_vr, cr_vr, plan),
-            infer_zreplace(model_zr, cr_zr, plan),
-        )
+        tasks = list(_iter_slices(cfg, roles=("test",)))
+        for sid, slice_idx, outputs in _parallel(cfg.jobs, infer_one, tasks):
+            for method, output in outputs.items():
+                path = _slice_path(root, STAGE_INFERRED, sid, slice_idx, f"{method}.msstack")
+                path.parent.mkdir(exist_ok=True)
+                save_recon(output, path)
 
-    tasks = list(_iter_slices(cfg, roles=("test",)))
-    for sid, slice_idx, dl_vr, dl_zr in _parallel(cfg.jobs, infer_one, tasks):
-        subject_dir = stage_dir / sid
-        subject_dir.mkdir(parents=True, exist_ok=True)
-        save_recon(dl_vr, subject_dir / f"slice{slice_idx:02d}.{METHOD_DL_VR}.msstack")
-        save_recon(dl_zr, subject_dir / f"slice{slice_idx:02d}.{METHOD_DL_ZREPLACE}.msstack")
-    _finish_stage(stage_dir, provenance)
-    return stage_dir
+    return _run_stage(cfg, STAGE_INFERRED, [STAGE_RECON, STAGE_MODELS], force, build)
 
 
 def _scaled_segment(seg, scale_r: float, scale_c: float) -> EdgeSegment:
@@ -515,63 +509,58 @@ def _high_gradient_region(truth: PhantomTruth, out_shape) -> np.ndarray:
 
 
 def cmd_eval(cfg: ExperimentConfig, force: bool = False, allow_mixed: bool = False) -> Path:
-    root = Path(cfg.out_dir)
-    stage_dir = root / STAGE_EVAL
-    provenance = _stage_provenance(cfg, STAGE_EVAL, upstream=[STAGE_RECON, STAGE_INFERRED])
-    if _stage_ready(stage_dir, provenance, force):
-        return stage_dir
+    def build(root, stage_dir):
+        if not allow_mixed:
+            _check_provenance_chain(cfg)
 
-    if not allow_mixed:
-        _check_provenance_chain(cfg)
+        plan = _load_plan(root)
+        acs_bins = plan.bins_with_scheme(ACS_ONLY)
+        out_shape = cfg.out_shape()
+        scale_r = out_shape[0] / cfg.phantom["rows"]
+        scale_c = out_shape[1] / cfg.phantom["cols"]
 
-    plan = load_plan(root / STAGE_KSPACE / "plan.msstack")
-    acs_bins = plan.bins_with_scheme(ACS_ONLY)
-    out_shape = cfg.out_shape()
-    scale_r = out_shape[0] / cfg.phantom["rows"]
-    scale_c = out_shape[1] / cfg.phantom["cols"]
+        report = EvalReport()
+        methods = (METHOD_REFERENCE, METHOD_CR_VR, METHOD_CR_ZREPLACE, METHOD_DL_VR, METHOD_DL_ZREPLACE)
+        ablation = {METHOD_DL_VR: [], METHOD_DL_ZREPLACE: []}
 
-    report = EvalReport()
-    methods = (METHOD_REFERENCE, METHOD_CR_VR, METHOD_CR_ZREPLACE, METHOD_DL_VR, METHOD_DL_ZREPLACE)
-    ablation = {METHOD_DL_VR: [], METHOD_DL_ZREPLACE: []}
+        for _, sid, _, slice_idx in _iter_slices(cfg, roles=("test",)):
+            truth = _load_truth(root, sid, slice_idx)
+            outputs = {m: _load_method(root, sid, slice_idx, m) for m in methods}
+            combined = {m: rsos_bins(outputs[m].images) for m in methods}
+            segments = [
+                _scaled_segment(seg, scale_r, scale_c) for seg in truth.edge_segments
+            ]
 
-    for _, sid, _, slice_idx in _iter_slices(cfg, roles=("test",)):
-        truth, sidecar = _load_truth(root, sid, slice_idx)
-        outputs = {m: _load_method(root, sid, slice_idx, m) for m in methods}
-        combined = {m: rsos_bins(outputs[m].images) for m in methods}
-        segments = [
-            _scaled_segment(seg, scale_r, scale_c) for seg in truth.edge_segments
-        ]
+            region = _high_gradient_region(truth, out_shape)
+            for method in (METHOD_DL_VR, METHOD_DL_ZREPLACE):
+                diff = outputs[method].images[acs_bins] - outputs[METHOD_REFERENCE].images[acs_bins]
+                if region.any():
+                    ablation[method].append(float(np.mean(diff[:, region] ** 2)))
 
-        region = _high_gradient_region(truth, out_shape)
-        for method in (METHOD_DL_VR, METHOD_DL_ZREPLACE):
-            diff = outputs[method].images[acs_bins] - outputs[METHOD_REFERENCE].images[acs_bins]
-            if region.any():
-                ablation[method].append(float(np.mean(diff[:, region] ** 2)))
+            for method in methods:
+                ssim_value = ssim(combined[method], combined[METHOD_REFERENCE])
+                psnr_value = psnr(combined[method], combined[METHOD_REFERENCE])
+                edge_values = []
+                for edge_idx, segment in enumerate(segments):
+                    value = resi(combined[method], combined[METHOD_CR_VR], segment)
+                    report.add_edge_record(sid, slice_idx, edge_idx, method, value)
+                    edge_values.append(value)
+                resi_value = float(np.median(edge_values)) if edge_values else None
+                report.add_record(sid, slice_idx, method, ssim_value, psnr_value, resi_value)
 
-        for method in methods:
-            ssim_value = ssim(combined[method], combined[METHOD_REFERENCE])
-            psnr_value = psnr(combined[method], combined[METHOD_REFERENCE])
-            edge_values = []
-            for edge_idx, segment in enumerate(segments):
-                value = resi(combined[method], combined[METHOD_CR_VR], segment)
-                report.add_edge_record(sid, slice_idx, edge_idx, method, value)
-                edge_values.append(value)
-            resi_value = float(np.median(edge_values)) if edge_values else None
-            report.add_record(sid, slice_idx, method, ssim_value, psnr_value, resi_value)
-
-    report.extras["high_gradient_even_bin_mse"] = {
-        method: {
-            "median": float(np.median(vals)) if vals else None,
-            "per_slice": vals,
+        report.extras["high_gradient_even_bin_mse"] = {
+            method: {
+                "median": float(np.median(vals)) if vals else None,
+                "per_slice": vals,
+            }
+            for method, vals in ablation.items()
         }
-        for method, vals in ablation.items()
-    }
-    report.finalize()
-    write_report_csv(report, stage_dir / "report.csv")
-    write_edge_csv(report, stage_dir / "edges.csv")
-    write_report_json(report, stage_dir / "summary.json")
-    _finish_stage(stage_dir, provenance)
-    return stage_dir
+        report.finalize()
+        write_report_csv(report, stage_dir / "report.csv")
+        write_edge_csv(report, stage_dir / "edges.csv")
+        write_report_json(report, stage_dir / "summary.json")
+
+    return _run_stage(cfg, STAGE_EVAL, [STAGE_RECON, STAGE_INFERRED], force, build)
 
 
 def _check_provenance_chain(cfg: ExperimentConfig) -> None:

@@ -47,6 +47,11 @@ METHOD_DL_ZREPLACE = "DL_ZREPLACE"
 CONVENTIONAL_METHODS = (METHOD_REFERENCE, METHOD_CR_VR, METHOD_CR_ZREPLACE)
 ALL_METHODS = CONVENTIONAL_METHODS + (METHOD_DL_VR, METHOD_DL_ZREPLACE)
 
+# Defaults of the conventional reconstruction, shared with the config file's.
+DEFAULT_RIDGE = 1e-4
+DEFAULT_KERNEL_TAPS = (5, 4)
+DEFAULT_APOD_SIGMA_FRACTION = 0.25
+
 
 @dataclass(frozen=True)
 class KernelGeometry:
@@ -58,9 +63,9 @@ class KernelGeometry:
 
     ry: int
     rz: int
-    ky_taps: int = 5
-    kz_taps: int = 4
-    ridge: float = 1e-4
+    ky_taps: int = DEFAULT_KERNEL_TAPS[0]
+    kz_taps: int = DEFAULT_KERNEL_TAPS[1]
+    ridge: float = DEFAULT_RIDGE
 
 
 @dataclass(frozen=True)
@@ -94,11 +99,14 @@ def zero_fill_recon(ksp: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return ifft2c(np.where(mask, ksp, 0))
 
 
-def apodized_acs_recon(ksp: np.ndarray, acs_dims, sigma_fraction: float = 0.25) -> np.ndarray:
+def apodized_acs_recon(
+    ksp: np.ndarray, acs_dims, sigma_fraction: float = DEFAULT_APOD_SIGMA_FRACTION
+) -> np.ndarray:
     """Low-resolution image from the Gaussian-windowed central ACS block.
 
-    The separable window peaks at 1 on the DC sample with sigma equal to
-    ``sigma_fraction`` times the block dimension.
+    Works on the last two axes, over any leading axes.  The separable window
+    peaks at 1 on the DC sample with sigma equal to ``sigma_fraction`` times
+    the block dimension.
     """
     acs = crop_center_array(ksp, acs_dims[0], acs_dims[1])
     wr = _gaussian_window(acs_dims[0], sigma_fraction * acs_dims[0])
@@ -129,7 +137,7 @@ def rsos_bins(images: np.ndarray) -> np.ndarray:
 
 
 def homodyne_recon(ksp: np.ndarray, pf_mask: np.ndarray) -> np.ndarray:
-    """Homodyne partial-Fourier reconstruction of one coil plane.
+    """Homodyne partial-Fourier reconstruction over any leading axes.
 
     A low-resolution phase estimate comes from the conjugate-symmetric rows
     around DC; the asymmetric data are ramp weighted so each conjugate row
@@ -265,9 +273,9 @@ def reconstruct(
     ksp_stack: MultiSpectralStack,
     method: str,
     out_shape: tuple[int, int] | None = None,
-    apod_sigma_fraction: float = 0.25,
-    kernel_taps: tuple[int, int] = (5, 4),
-    ridge: float = 1e-4,
+    apod_sigma_fraction: float = DEFAULT_APOD_SIGMA_FRACTION,
+    kernel_taps: tuple[int, int] = DEFAULT_KERNEL_TAPS,
+    ridge: float = DEFAULT_RIDGE,
 ) -> ReconOutput:
     """Run one conventional method over a sampled k-space stack.
 
@@ -297,17 +305,12 @@ def reconstruct(
             masked = np.where(full_mask, ksp_stack.data[b], 0)
             acs_data = crop_center_array(masked, params.acs[0], params.acs[1])
             filled = pi_interpolate(masked, acs_data, geometry, mask=full_mask)
-            coil_images = np.stack([homodyne_recon(filled[c], pf) for c in range(ksp_stack.n_coils)])
-            image = rsos_coils(coil_images)
+            image = rsos_coils(homodyne_recon(filled, pf))
         elif method == METHOD_CR_ZREPLACE:
             image = np.zeros((ky, kz))
         else:
             masked = np.where(acs_mask, ksp_stack.data[b], 0)
-            coil_images = np.stack(
-                [apodized_acs_recon(masked[c], params.acs, apod_sigma_fraction)
-                 for c in range(ksp_stack.n_coils)]
-            )
-            image = rsos_coils(coil_images)
+            image = rsos_coils(apodized_acs_recon(masked, params.acs, apod_sigma_fraction))
         combined[b] = _resample_to(image, out_rows, out_cols)
 
     return ReconOutput(combined, method, mask_provenance=f"vr-plan-{plan.n_bins}bins")

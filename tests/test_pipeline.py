@@ -158,6 +158,18 @@ class TestStages:
         cmd_phantom(pipeline_run)
         assert marker.stat().st_mtime_ns == before
 
+        def snapshot():
+            return {
+                p: (p.stat().st_size, p.stat().st_mtime_ns)
+                for p in Path(pipeline_run.out_dir).rglob("*")
+                if p.is_file()
+            }
+
+        files = snapshot()
+        for stage in (cmd_phantom, cmd_acquire, cmd_recon, cmd_train, cmd_infer, cmd_eval):
+            stage(pipeline_run)
+        assert snapshot() == files
+
     def test_force_rebuilds(self, pipeline_run):
         marker = Path(pipeline_run.out_dir) / "dataset" / "manifest.json"
         before = marker.stat().st_mtime_ns
@@ -232,6 +244,27 @@ class TestStages:
         assert main(argv) == 2
         assert main(argv + ["--force"]) == 0
         assert {p: p.read_bytes() for p in kspace.rglob("*.msstack")} == bytes_a
+
+    def test_deleted_artifact_is_rebuilt(self, tmp_path):
+        cfg = tiny_config(tmp_path, out_name="holey")
+        cmd_phantom(cfg)
+        cmd_acquire(cfg)
+        victim = Path(cfg.out_dir) / "kspace" / "s000" / "slice00.ksp.msstack"
+        original = victim.read_bytes()
+        victim.unlink()
+        cmd_acquire(cfg)
+        assert victim.read_bytes() == original
+        assert main(["recon", "--config", str(tmp_path / "exp.ini")]) == 0
+
+    def test_rebuild_removes_stale_slices(self, tmp_path):
+        two = tiny_config(tmp_path, out_name="shrink")
+        one = tiny_config(tmp_path, out_name="shrink", **{"split.slices_per_subject": 1})
+        for cfg in (two, one):
+            cmd_phantom(cfg)
+            cmd_acquire(cfg)
+        root = Path(one.out_dir)
+        assert list(root.glob("*/s*/slice00.*"))
+        assert not list(root.glob("*/s*/slice01.*"))
 
     def test_eval_refuses_mixed_provenance(self, pipeline_run):
         prov_path = Path(pipeline_run.out_dir) / "dataset" / "provenance.json"
