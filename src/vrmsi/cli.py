@@ -39,6 +39,7 @@ _STAGES = {
     "recon": cmd_recon,
     "train": cmd_train,
     "infer": cmd_infer,
+    "eval": cmd_eval,
 }
 
 
@@ -67,13 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("report", "render SVG plots and a markdown summary"),
         ("run-all", "run every stage in order"),
     ):
-        sub = subs.add_parser(name, help=doc)
-        _add_common(sub)
-        if name == "eval":
-            sub.add_argument(
-                "--allow-mixed", action="store_true",
-                help="evaluate even when stage provenance disagrees",
-            )
+        _add_common(subs.add_parser(name, help=doc))
     return parser
 
 
@@ -91,8 +86,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, _overrides(args))
         if args.command in _STAGES:
             path = _STAGES[args.command](cfg, force=args.force)
-        elif args.command == "eval":
-            path = cmd_eval(cfg, force=args.force, allow_mixed=args.allow_mixed)
         elif args.command == "report":
             path = render_report(Path(cfg.out_dir) / STAGE_EVAL, Path(cfg.out_dir) / "report")
         else:

@@ -1,8 +1,9 @@
 """Experiment configuration: one INI file with per-stage sections.
 
 CLI flags override file values, which override the built-in defaults.  The
-canonical dump of a parsed config (sorted keys, normalized values) is what
-gets hashed into stage provenance.
+canonical dump of a parsed config (sorted keys, normalized values) through
+the last section a stage depends on, plus the seed, is that stage's cache
+key in its provenance.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ from dataclasses import dataclass
 
 from vrmsi.recon import DEFAULT_APOD_SIGMA_FRACTION, DEFAULT_KERNEL_TAPS, DEFAULT_RIDGE
 from vrmsi.sampling import AcquisitionParams
+
+
+# The hashed sections in pipeline order: each stage depends on a prefix.
+SECTIONS = ("phantom", "split", "acquisition", "recon", "model", "train")
 
 
 class ConfigError(ValueError):
@@ -118,27 +123,18 @@ class ExperimentConfig:
         cols = self.recon["out_cols"] or self.phantom["cols"]
         return (rows, cols)
 
-    def canonical(self) -> str:
+    def canonical(self, upto: str = SECTIONS[-1]) -> str:
+        """Sorted ``section.key=value`` lines of ``SECTIONS`` through ``upto``, then the seed."""
         parts = []
-        for section in ("phantom", "split", "acquisition", "recon", "model", "train"):
+        for section in SECTIONS[: SECTIONS.index(upto) + 1]:
             data = getattr(self, section)
             for key in sorted(data):
                 parts.append(f"{section}.{key}={data[key]!r}")
         parts.append(f"experiment.seed={self.seed!r}")
         return "\n".join(parts)
 
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
-
-    def dataset_hash(self) -> str:
-        """Identity of the generated dataset: phantom + split + seed only."""
-        parts = []
-        for section in ("phantom", "split"):
-            data = getattr(self, section)
-            for key in sorted(data):
-                parts.append(f"{section}.{key}={data[key]!r}")
-        parts.append(f"experiment.seed={self.seed!r}")
-        return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+    def config_hash(self, upto: str = SECTIONS[-1]) -> str:
+        return hashlib.sha256(self.canonical(upto).encode()).hexdigest()[:16]
 
 
 def _get(parser, section, key, conv, path):

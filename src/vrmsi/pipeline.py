@@ -1,12 +1,16 @@
 """Staged experiment pipeline: phantom -> acquire -> recon -> train -> infer -> eval.
 
 Every stage writes its artifacts plus a ``provenance.json`` capturing the
-config hash, tool version, seeds, hashes of the upstream provenance files,
-and every artifact in the stage directory with its byte size.  Re-running a
-stage is a no-op when its provenance matches and every listed artifact is
-present at its recorded size; otherwise, or with ``force``, the stage
-rebuilds after removing the provenance and the artifacts it lists.  Stages
-are deterministic given config and seed.
+stage's cache key, tool version, seed, hashes of the upstream provenance
+files, and every artifact in the stage directory with its byte size.  The
+cache key hashes the seed and only the config sections the stage depends on
+(see ``_KEY_SECTION``), so an edit to ``[train]`` or ``[model]`` reruns only
+train, infer and eval.  A stage refuses to run on an upstream stage whose
+recorded key differs from this config's key for it.  Re-running a stage is
+a no-op when its provenance matches and every listed artifact is present at
+its recorded size; otherwise, or with ``force``, the stage rebuilds after
+removing the provenance, the artifacts it lists and the directories they
+leave empty.  Stages are deterministic given config and seed.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import stat
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -68,6 +74,10 @@ STAGE_MODELS = "models"
 STAGE_INFERRED = "inferred"
 STAGE_EVAL = "eval"
 
+# stage -> the last config section in its cache key (a prefix of config.SECTIONS)
+_KEY_SECTION = {STAGE_DATASET: "split", STAGE_KSPACE: "acquisition", STAGE_RECON: "recon",
+                STAGE_MODELS: "train", STAGE_INFERRED: "train", STAGE_EVAL: "train"}
+
 
 class MissingArtifactError(RuntimeError):
     """An upstream stage has not produced its artifacts yet."""
@@ -82,31 +92,33 @@ class StageExistsError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-
-
 def _run_stage(cfg: ExperimentConfig, stage: str, upstream: list[str], force: bool, build) -> Path:
     """Run ``build(root, stage_dir)`` unless the stage's cached artifacts are current.
 
-    A provenance file that lists no artifacts vouches for nothing, so it is
-    never a cache hit.
+    ``upstream`` names every stage whose artifacts ``build`` reads; each must
+    have been built under this config's key for it.  A provenance file that
+    lists no artifacts vouches for nothing, so it is never a cache hit.
     """
     root = Path(cfg.out_dir)
     stage_dir = root / stage
     inputs = {}
     for up in upstream:
         prov = root / up / PROVENANCE
-        if not prov.exists():
+        try:
+            raw = prov.read_bytes()
+        except FileNotFoundError:
             raise MissingArtifactError(
                 f"stage '{stage}' needs stage '{up}': run it first (missing {prov})"
+            ) from None
+        if json.loads(raw)["config_hash"] != cfg.config_hash(_KEY_SECTION[up]):
+            raise MissingArtifactError(
+                f"stage '{stage}' needs stage '{up}' built under this config: run it first"
             )
-        inputs[f"{up}/{PROVENANCE}"] = _sha256_file(prov)
+        inputs[f"{up}/{PROVENANCE}"] = hashlib.sha256(raw).hexdigest()[:16]
     provenance = {
         "stage": stage,
         "tool_version": __version__,
-        "config_hash": cfg.config_hash(),
-        "dataset_hash": cfg.dataset_hash(),
+        "config_hash": cfg.config_hash(_KEY_SECTION[stage]),
         "seed": cfg.seed,
         "input_hashes": inputs,
     }
@@ -115,10 +127,7 @@ def _run_stage(cfg: ExperimentConfig, stage: str, upstream: list[str], force: bo
     if prov_path.exists():
         recorded = json.loads(prov_path.read_text())
         artifacts = recorded.pop("artifacts", {})
-        if not force and recorded == provenance and artifacts and all(
-            (stage_dir / rel).is_file() and (stage_dir / rel).stat().st_size == size
-            for rel, size in artifacts.items()
-        ):
+        if not force and recorded == provenance and artifacts and _intact(stage_dir, artifacts):
             return stage_dir
         # A rebuild that fails halfway must not leave the old provenance
         # vouching for a mix of old and new artifacts, and a rebuild under a
@@ -126,6 +135,9 @@ def _run_stage(cfg: ExperimentConfig, stage: str, upstream: list[str], force: bo
         prov_path.unlink()
         for rel in artifacts:
             (stage_dir / rel).unlink(missing_ok=True)
+        for path in sorted(stage_dir.rglob("*"), reverse=True):  # children before parents
+            if path.is_dir() and not any(path.iterdir()):
+                path.rmdir()
     elif stage_dir.exists() and any(stage_dir.iterdir()) and not force:
         raise StageExistsError(f"{stage_dir} is not empty; pass --force to overwrite")
     stage_dir.mkdir(parents=True, exist_ok=True)
@@ -138,6 +150,17 @@ def _run_stage(cfg: ExperimentConfig, stage: str, upstream: list[str], force: bo
     }
     prov_path.write_text(json.dumps(provenance, indent=2, sort_keys=True) + "\n")
     return stage_dir
+
+
+def _intact(stage_dir: Path, artifacts: dict[str, int]) -> bool:
+    """Every listed artifact is a regular file at its recorded byte size."""
+    try:
+        found = [os.stat(os.path.join(stage_dir, rel)) for rel in artifacts]
+    except OSError:
+        return False
+    return all(
+        stat.S_ISREG(st.st_mode) and st.st_size == size for st, size in zip(found, artifacts.values())
+    )
 
 
 def _parallel(jobs: int, fn, items):
@@ -319,7 +342,7 @@ def _load_plan(root: Path):
 
 def cmd_phantom(cfg: ExperimentConfig, force: bool = False) -> Path:
     def build(root, stage_dir):
-        manifest = {"subjects": [], "dataset_hash": cfg.dataset_hash()}
+        manifest = {"subjects": []}
         for role, sid, subject_idx, slice_idx in _iter_slices(cfg):
             family = _family(cfg, subject_idx)
             if slice_idx == 0:
@@ -456,7 +479,7 @@ def cmd_train(cfg: ExperimentConfig, force: bool = False) -> Path:
             )
             save_history(history, stage_dir / f"loss_{variant}.csv")
 
-    return _run_stage(cfg, STAGE_MODELS, [STAGE_RECON], force, build)
+    return _run_stage(cfg, STAGE_MODELS, [STAGE_KSPACE, STAGE_RECON], force, build)
 
 
 def cmd_infer(cfg: ExperimentConfig, force: bool = False) -> Path:
@@ -485,7 +508,7 @@ def cmd_infer(cfg: ExperimentConfig, force: bool = False) -> Path:
                 path.parent.mkdir(exist_ok=True)
                 save_recon(output, path)
 
-    return _run_stage(cfg, STAGE_INFERRED, [STAGE_RECON, STAGE_MODELS], force, build)
+    return _run_stage(cfg, STAGE_INFERRED, [STAGE_KSPACE, STAGE_RECON, STAGE_MODELS], force, build)
 
 
 def _scaled_segment(seg, scale_r: float, scale_c: float) -> EdgeSegment:
@@ -508,11 +531,8 @@ def _high_gradient_region(truth: PhantomTruth, out_shape) -> np.ndarray:
     return region[np.ix_(ri, ci)]
 
 
-def cmd_eval(cfg: ExperimentConfig, force: bool = False, allow_mixed: bool = False) -> Path:
+def cmd_eval(cfg: ExperimentConfig, force: bool = False) -> Path:
     def build(root, stage_dir):
-        if not allow_mixed:
-            _check_provenance_chain(cfg)
-
         plan = _load_plan(root)
         acs_bins = plan.bins_with_scheme(ACS_ONLY)
         out_shape = cfg.out_shape()
@@ -560,23 +580,9 @@ def cmd_eval(cfg: ExperimentConfig, force: bool = False, allow_mixed: bool = Fal
         write_edge_csv(report, stage_dir / "edges.csv")
         write_report_json(report, stage_dir / "summary.json")
 
-    return _run_stage(cfg, STAGE_EVAL, [STAGE_RECON, STAGE_INFERRED], force, build)
-
-
-def _check_provenance_chain(cfg: ExperimentConfig) -> None:
-    """Refuse to evaluate artifacts generated from differing phantom configs."""
-    root = Path(cfg.out_dir)
-    hashes = {}
-    for stage in (STAGE_DATASET, STAGE_KSPACE, STAGE_RECON, STAGE_MODELS, STAGE_INFERRED):
-        prov_path = root / stage / PROVENANCE
-        if not prov_path.exists():
-            raise MissingArtifactError(f"stage '{stage}' has no provenance: run it first")
-        hashes[stage] = json.loads(prov_path.read_text()).get("dataset_hash")
-    unique = set(hashes.values())
-    if len(unique) > 1:
-        raise StageExistsError(
-            f"mixed provenance across stages ({hashes}); pass --allow-mixed to override"
-        )
+    return _run_stage(
+        cfg, STAGE_EVAL, [STAGE_DATASET, STAGE_KSPACE, STAGE_RECON, STAGE_INFERRED], force, build
+    )
 
 
 def run_all(cfg: ExperimentConfig, force: bool = False) -> Path:

@@ -29,14 +29,7 @@ from vrmsi.core import (
     read_container,
     write_container,
 )
-from vrmsi.sampling import (
-    ACS_ONLY,
-    FULL_SCHEME,
-    SamplingPlan,
-    acs_only_mask,
-    full_scheme_mask,
-    partial_fourier_mask,
-)
+from vrmsi.sampling import FULL_SCHEME, SamplingPlan, partial_fourier_mask
 
 METHOD_REFERENCE = "REFERENCE"
 METHOD_CR_VR = "CR_VR"
@@ -179,14 +172,14 @@ def pi_interpolate(
     ksp: np.ndarray,
     acs_block: np.ndarray,
     geometry: KernelGeometry,
-    mask: np.ndarray | None = None,
+    mask: np.ndarray,
 ) -> np.ndarray:
     """Fill missing lattice offsets of uniformly undersampled multi-coil k-space.
 
     ``ksp`` is (n_coils, ky, kz) with zeros at unsampled positions and the
     sampled lattice anchored at DC.  ``acs_block`` is the fully sampled
     calibration region (n_coils, ar, ac).  Acquired samples pass through
-    unchanged; when ``mask`` is given, no entry marked acquired is rewritten.
+    unchanged: no entry that the (ky, kz) ``mask`` marks acquired is rewritten.
     """
     nc, ky, kz = ksp.shape
     ry, rz = geometry.ry, geometry.rz
@@ -262,10 +255,8 @@ def _apply_kernel(out, ksp, weights, src_y, src_z, y_lattice, z_lattice, mask) -
             src[:, :, a, b] = padded[:, TY + oy + pad_y, TZ + oz + pad_z].T
     values = src.reshape(TY.size, -1) @ weights
 
-    if mask is not None:
-        keep = ~mask[TY, TZ]
-        TY, TZ, values = TY[keep], TZ[keep], values[keep]
-    out[:, TY, TZ] = values.T
+    keep = ~mask[TY, TZ]
+    out[:, TY[keep], TZ[keep]] = values[keep].T
 
 
 def reconstruct(
@@ -292,8 +283,8 @@ def reconstruct(
     if ksp_stack.n_bins != plan.n_bins or (ksp_stack.rows, ksp_stack.cols) != (ky, kz):
         raise ValueError("plan and stack dimensions disagree")
 
-    full_mask = full_scheme_mask(params)
-    acs_mask = acs_only_mask(ky, kz, params.acs)
+    # Every full-scheme bin shares one mask; REFERENCE applies it to every bin.
+    full_mask = plan.masks[plan.bins_with_scheme(FULL_SCHEME)[0]]
     pf = partial_fourier_mask(ky, params.pf_overscan)
     geometry = KernelGeometry(params.accel[0], params.accel[1], *kernel_taps, ridge)
     out_rows, out_cols = out_shape if out_shape is not None else (ky, kz)
@@ -309,7 +300,7 @@ def reconstruct(
         elif method == METHOD_CR_ZREPLACE:
             image = np.zeros((ky, kz))
         else:
-            masked = np.where(acs_mask, ksp_stack.data[b], 0)
+            masked = np.where(plan.masks[b], ksp_stack.data[b], 0)
             image = rsos_coils(apodized_acs_recon(masked, params.acs, apod_sigma_fraction))
         combined[b] = _resample_to(image, out_rows, out_cols)
 

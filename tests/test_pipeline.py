@@ -21,6 +21,7 @@ from vrmsi.pipeline import (
     cmd_phantom,
     cmd_recon,
     cmd_train,
+    run_all,
 )
 from vrmsi.report import boxplot_svg, render_report
 
@@ -256,26 +257,61 @@ class TestStages:
         assert victim.read_bytes() == original
         assert main(["recon", "--config", str(tmp_path / "exp.ini")]) == 0
 
-    def test_rebuild_removes_stale_slices(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, stale",
+        [("split.slices_per_subject", "*/s*/slice01.*"), ("split.train_subjects", "*/s003/*")],
+        ids=["slices_per_subject", "train_subjects"],
+    )
+    def test_rebuild_removes_stale_slices(self, tmp_path, key, stale):
         two = tiny_config(tmp_path, out_name="shrink")
-        one = tiny_config(tmp_path, out_name="shrink", **{"split.slices_per_subject": 1})
+        one = tiny_config(tmp_path, out_name="shrink", **{key: 1})
         for cfg in (two, one):
             cmd_phantom(cfg)
             cmd_acquire(cfg)
         root = Path(one.out_dir)
         assert list(root.glob("*/s*/slice00.*"))
-        assert not list(root.glob("*/s*/slice01.*"))
+        assert not list(root.glob(stale))
+        assert not [d for d in root.rglob("*") if d.is_dir() and not any(d.iterdir())]
+
+    def test_train_edit_keeps_upstream_stages(self, tmp_path):
+        cfg = tiny_config(tmp_path, out_name="retrain")
+        run_all(cfg)
+        root = Path(cfg.out_dir)
+
+        def snapshot(stage):
+            return {
+                p: (p.stat().st_size, p.stat().st_mtime_ns)
+                for p in (root / stage).rglob("*")
+                if p.is_file()
+            }
+
+        upstream = {stage: snapshot(stage) for stage in ("dataset", "kspace", "recon")}
+        models = snapshot("models")
+        run_all(tiny_config(tmp_path, out_name="retrain", **{"train.epochs": 1}))
+        assert {stage: snapshot(stage) for stage in upstream} == upstream
+        rebuilt = snapshot("models")
+        assert rebuilt.keys() == models.keys()
+        assert all(rebuilt[p] != models[p] for p in models)
+
+    def test_stale_upstream_refused(self, tmp_path):
+        old = tiny_config(tmp_path, out_name="stale")
+        new = tiny_config(tmp_path, out_name="stale", **{"phantom.noise_sigma": 0.004})
+        cmd_phantom(old)
+        cmd_acquire(old)
+        cmd_phantom(new)
+        with pytest.raises(MissingArtifactError, match="'dataset' built under this config"):
+            cmd_acquire(old)
+        assert main(["acquire", "--config", str(tmp_path / "exp.ini")]) == 3
 
     def test_eval_refuses_mixed_provenance(self, pipeline_run):
         prov_path = Path(pipeline_run.out_dir) / "dataset" / "provenance.json"
         original = prov_path.read_text()
         try:
             tampered = json.loads(original)
-            tampered["dataset_hash"] = "deadbeefdeadbeef"
+            tampered["config_hash"] = "deadbeefdeadbeef"
             prov_path.write_text(json.dumps(tampered, indent=2, sort_keys=True))
-            with pytest.raises(StageExistsError, match="mixed"):
+            with pytest.raises(MissingArtifactError, match="'dataset' built under this config"):
                 cmd_eval(pipeline_run, force=True)
-            cmd_eval(pipeline_run, force=True, allow_mixed=True)
         finally:
             prov_path.write_text(original)
             cmd_eval(pipeline_run, force=True)

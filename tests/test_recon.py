@@ -205,7 +205,8 @@ class TestPiInterpolate:
     def test_identity_when_not_accelerated(self):
         rng = np.random.default_rng(8)
         ksp = rng.standard_normal((1, 16, 16)) + 1j * rng.standard_normal((1, 16, 16))
-        out = pi_interpolate(ksp, ksp[:, 4:12, 4:12], KernelGeometry(1, 1))
+        full = np.ones((16, 16), dtype=bool)
+        out = pi_interpolate(ksp, ksp[:, 4:12, 4:12], KernelGeometry(1, 1), mask=full)
         assert np.array_equal(out, ksp)
 
     def test_2x2_four_coil_nrmse_below_5pct(self, truth64, kspace64):
@@ -257,8 +258,9 @@ class TestPiInterpolate:
 
     def test_acs_too_small_rejected(self):
         ksp = np.zeros((2, 32, 32), dtype=complex)
+        mask = uniform_accel_mask(32, 32, 2, 2)
         with pytest.raises(ValueError):
-            pi_interpolate(ksp, ksp[:, :4, :4], KernelGeometry(2, 2, 5, 4))
+            pi_interpolate(ksp, ksp[:, :4, :4], KernelGeometry(2, 2, 5, 4), mask=mask)
 
 
 class TestReconstruct:
