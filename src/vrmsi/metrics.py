@@ -4,7 +4,8 @@ The edge sharpness score (RESI) is the ratio of weighted regression slopes
 measured across an annotated tissue boundary: intensity profiles are sampled
 along a short segment, the few above-floor points straddling the segment
 midpoint are kept, and the fitted slope is normalized by the same measurement
-on a reference image.
+on a reference image.  ``high_gradient_region`` marks the steep-field pixels
+where the evaluation scores the inferred even bins.
 """
 
 from __future__ import annotations
@@ -190,6 +191,26 @@ def resi(test_image: np.ndarray, reference_image: np.ndarray, segment: EdgeSegme
     if abs(slope_ref) < 1e-9:
         raise FlatEdgeError("flat reference edge")
     return abs(slope_test) / abs(slope_ref)
+
+
+def high_gradient_region(off_resonance: np.ndarray, proton_density: np.ndarray, out_shape) -> np.ndarray:
+    """Pixels with signal whose off-resonance gradient is in the top quartile.
+
+    Computed on the truth grid, then nearest-neighbour resampled to
+    ``out_shape``; all False when no pixel carries signal.
+    """
+    gr, gc = np.gradient(off_resonance)
+    grad = np.hypot(gr, gc)
+    support = proton_density > 0.05
+    if not support.any():
+        return np.zeros(out_shape, dtype=bool)
+    threshold = np.percentile(grad[support], 75.0)
+    region = support & (grad >= threshold)
+    if region.shape == tuple(out_shape):
+        return region
+    ri = (np.arange(out_shape[0]) * region.shape[0] / out_shape[0]).astype(int)
+    ci = (np.arange(out_shape[1]) * region.shape[1] / out_shape[1]).astype(int)
+    return region[np.ix_(ri, ci)]
 
 
 def _rank_with_ties(values: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -4,17 +4,21 @@ A phantom is a handful of soft-edged ellipses (tissue), one circular metal
 implant that carries no signal but bends the field around it, and a set of
 annotated edge segments used later for sharpness scoring.  The off-resonance
 field follows a dipole-like decay ``A a^3 (3 cos^2(theta) - 1) / r^3`` about
-the implant, clamped to the requested span.
+the implant, clamped to the requested span.  ``cohort_spec`` draws the
+jittered knee or hip anatomy of one cohort slice; ``save_truth`` and
+``load_truth`` persist a truth as a stack plus a JSON sidecar.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from vrmsi.core import DOMAIN_IMAGE, MultiSpectralStack, fft_stack
+from vrmsi.core import DOMAIN_IMAGE, MultiSpectralStack, fft_stack, load_stack, save_stack
 
 _EDGE_SOFTNESS_PX = 1.5
 
@@ -84,6 +88,125 @@ class PhantomTruth:
     @property
     def n_coils(self) -> int:
         return self.coil_maps.shape[0]
+
+
+# family -> ((label, intensity, center offset, semi-axes) per shape, implant
+# offset); offsets from the image center and semi-axes are fractions of
+# (rows, cols).  The second shape is the one the edge segments cross.
+_ANATOMY = {
+    "knee": (
+        (
+            ("body", 0.9, (0.0, 0.0), (0.42, 0.44)),
+            ("inner", 0.55, (0.08, -0.05), (0.17, 0.13)),
+            ("bright", 1.0, (-0.18, -0.16), (0.08, 0.1)),
+        ),
+        (-0.16, 0.22),
+    ),
+    "hip": (
+        (
+            ("body", 0.8, (0.0, 0.0), (0.38, 0.46)),
+            ("inner", 0.5, (-0.06, 0.08), (0.14, 0.17)),
+            ("bright", 1.0, (0.2, -0.12), (0.09, 0.08)),
+        ),
+        (0.14, -0.24),
+    ),
+}
+# jitter half-widths in pixels, (center, semi-axes) per shape, shared by all families
+_SHAPE_JITTER = ((2, 3), (2, 2), (1.5, 1))
+_IMPLANT_JITTER = 1.5
+
+
+def cohort_spec(params: dict, family: str, entropy) -> PhantomSpec:
+    """Jittered geometry of one slice of a ``family`` ("knee" or "hip") subject.
+
+    ``params`` is the config's ``[phantom]`` section; ``entropy`` seeds the
+    jitter and edge placement, so equal entropy gives an equal spec.
+    """
+    rows, cols = params["rows"], params["cols"]
+    rng = np.random.default_rng(entropy)
+
+    def jit(scale):
+        return float(rng.uniform(-scale, scale))
+
+    cy, cx = rows / 2.0, cols / 2.0
+    shapes_table, (ir, ic) = _ANATOMY[family]
+    shapes = tuple(
+        Ellipse(
+            (cy + dr * rows + jit(cj), cx + dc * cols + jit(cj)),
+            (ar * rows + jit(aj), ac * cols + jit(aj)),
+            intensity,
+            label,
+        )
+        for (label, intensity, (dr, dc), (ar, ac)), (cj, aj) in zip(shapes_table, _SHAPE_JITTER)
+    )
+    implant = Implant(
+        (cy + ir * rows + jit(_IMPLANT_JITTER), cx + ic * cols + jit(_IMPLANT_JITTER)),
+        params["implant_radius"],
+        params["implant_amplitude_khz"],
+    )
+    return PhantomSpec(
+        rows=rows,
+        cols=cols,
+        shapes=shapes,
+        implant=implant,
+        field_span_khz=params["field_span_khz"],
+        n_coils=params["n_coils"],
+        noise_sigma=params["noise_sigma"],
+        edge_segments=_edge_segments(shapes[1], implant, params["edges_per_slice"], rows, cols, rng),
+        texture=params["texture"],
+    )
+
+
+def _edge_segments(inner: Ellipse, implant: Implant, count, rows, cols, rng):
+    """Segments crossing the inner-ellipse boundary, pointing away from metal."""
+    away = math.atan2(inner.center[1] - implant.center[1], inner.center[0] - implant.center[0])
+    segments = []
+    half_len = 5.0
+    attempts = 0
+    while len(segments) < count and attempts < 50 * count:
+        attempts += 1
+        phi = away + rng.uniform(-1.0, 1.0)
+        pr = inner.center[0] + inner.semi_axes[0] * math.cos(phi)
+        pc = inner.center[1] + inner.semi_axes[1] * math.sin(phi)
+        nr = math.cos(phi) / max(inner.semi_axes[0], 1e-6)
+        nc = math.sin(phi) / max(inner.semi_axes[1], 1e-6)
+        norm = math.hypot(nr, nc)
+        nr, nc = nr / norm, nc / norm
+        p0 = (pr - half_len * nr, pc - half_len * nc)
+        p1 = (pr + half_len * nr, pc + half_len * nc)
+        if all(1 <= r <= rows - 2 and 1 <= c <= cols - 2 for r, c in (p0, p1)):
+            segments.append((p0, p1))
+    if len(segments) < count:
+        raise ValueError("could not place the requested edge segments inside the image")
+    return tuple(segments)
+
+
+# Truth persistence: stack channels are [pd, off_resonance, coil maps...],
+# and the JSON sidecar carries the edge segments plus caller metadata.
+
+
+def save_truth(truth: PhantomTruth, stack_path, sidecar_path, extra: dict) -> None:
+    channels = np.concatenate(
+        [
+            truth.proton_density[None].astype(np.complex128),
+            truth.off_resonance_khz[None].astype(np.complex128),
+            truth.coil_maps,
+        ]
+    )[:, None]
+    stack = MultiSpectralStack(
+        channels, np.arange(channels.shape[0], dtype=float), DOMAIN_IMAGE, "phantom-truth-v1"
+    )
+    save_stack(stack, stack_path)
+    sidecar = dict(extra)
+    sidecar["edge_segments"] = [[list(p0), list(p1)] for p0, p1 in truth.edge_segments]
+    Path(sidecar_path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+
+
+def load_truth(stack_path, sidecar_path) -> PhantomTruth:
+    stack = load_stack(stack_path)
+    sidecar = json.loads(Path(sidecar_path).read_text())
+    segments = tuple((tuple(p0), tuple(p1)) for p0, p1 in sidecar["edge_segments"])
+    return PhantomTruth(np.real(stack.data[0, 0]), np.real(stack.data[1, 0]), stack.data[2:, 0], segments)
 
 
 def _ellipse_coverage(rr, cc, center, semi_axes) -> np.ndarray:

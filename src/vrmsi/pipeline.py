@@ -1,23 +1,25 @@
 """Staged experiment pipeline: phantom -> acquire -> recon -> train -> infer -> eval.
 
-Every stage writes its artifacts plus a ``provenance.json`` capturing the
-stage's cache key, tool version, seed, hashes of the upstream provenance
-files, and every artifact in the stage directory with its byte size.  The
-cache key hashes the seed and only the config sections the stage depends on
-(see ``_KEY_SECTION``), so an edit to ``[train]`` or ``[model]`` reruns only
-train, infer and eval.  A stage refuses to run on an upstream stage whose
-recorded key differs from this config's key for it.  Re-running a stage is
-a no-op when its provenance matches and every listed artifact is present at
-its recorded size; otherwise, or with ``force``, the stage rebuilds after
-removing the provenance, the artifacts it lists and the directories they
-leave empty.  Stages are deterministic given config and seed.
+This module runs stages only; the cohort anatomy and truth files live in
+``vrmsi.phantom`` and the metric geometry in ``vrmsi.metrics``.  Every stage
+writes its artifacts plus a ``provenance.json`` capturing the stage's cache
+key, tool version, seed, hashes of the upstream provenance files, and every
+artifact in the stage directory with its byte size.  The cache key hashes the
+seed and only the config sections the stage depends on (see ``_KEY_SECTION``),
+so an edit to ``[train]`` or ``[model]`` reruns only train, infer and eval.
+Re-running a stage is a no-op when its provenance matches and every listed
+artifact is present at its recorded size; otherwise, or with ``force``, it
+rebuilds.  A rebuild first checks each upstream stage and refuses, naming the
+``vrmsi`` command to run, when one is missing, was built under another key or
+lost an artifact; only then does it remove its old provenance, the artifacts
+that lists and the directories they leave empty.  Stages are deterministic
+given config and seed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import stat
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +29,7 @@ import numpy as np
 
 from vrmsi import __version__
 from vrmsi.config import ExperimentConfig
-from vrmsi.core import DOMAIN_IMAGE, MultiSpectralStack, load_stack, save_stack
+from vrmsi.core import load_stack, save_stack
 from vrmsi.learn import (
     TrainConfig,
     UNet,
@@ -42,6 +44,7 @@ from vrmsi.learn.model import ModelConfig
 from vrmsi.metrics import (
     EdgeSegment,
     EvalReport,
+    high_gradient_region,
     psnr,
     resi,
     ssim,
@@ -49,14 +52,13 @@ from vrmsi.metrics import (
     write_report_csv,
     write_report_json,
 )
-from vrmsi.phantom import Ellipse, Implant, PhantomSpec, PhantomTruth, generate_phantom, simulate_bins, to_kspace
+from vrmsi.phantom import cohort_spec, generate_phantom, load_truth, save_truth, simulate_bins, to_kspace
 from vrmsi.recon import (
     METHOD_CR_VR,
     METHOD_CR_ZREPLACE,
     METHOD_DL_VR,
     METHOD_DL_ZREPLACE,
     METHOD_REFERENCE,
-    ReconOutput,
     load_recon,
     reconstruct,
     rsos_bins,
@@ -78,6 +80,10 @@ STAGE_EVAL = "eval"
 _KEY_SECTION = {STAGE_DATASET: "split", STAGE_KSPACE: "acquisition", STAGE_RECON: "recon",
                 STAGE_MODELS: "train", STAGE_INFERRED: "train", STAGE_EVAL: "train"}
 
+# stage -> the ``vrmsi`` command that builds it
+_COMMAND = {STAGE_DATASET: "phantom", STAGE_KSPACE: "acquire", STAGE_RECON: "recon",
+            STAGE_MODELS: "train", STAGE_INFERRED: "infer", STAGE_EVAL: "eval"}
+
 
 class MissingArtifactError(RuntimeError):
     """An upstream stage has not produced its artifacts yet."""
@@ -96,25 +102,24 @@ def _run_stage(cfg: ExperimentConfig, stage: str, upstream: list[str], force: bo
     """Run ``build(root, stage_dir)`` unless the stage's cached artifacts are current.
 
     ``upstream`` names every stage whose artifacts ``build`` reads; each must
-    have been built under this config's key for it.  A provenance file that
-    lists no artifacts vouches for nothing, so it is never a cache hit.
+    have been built under this config's key for it, and before a build its
+    listed artifacts must be intact.  A provenance file that lists no
+    artifacts vouches for nothing, so it is never a cache hit.
     """
     root = Path(cfg.out_dir)
     stage_dir = root / stage
-    inputs = {}
+    inputs, upstream_artifacts = {}, {}
     for up in upstream:
         prov = root / up / PROVENANCE
-        try:
-            raw = prov.read_bytes()
-        except FileNotFoundError:
+        raw = prov.read_bytes() if prov.exists() else b"{}"
+        recorded = json.loads(raw)
+        if recorded.get("config_hash") != cfg.config_hash(_KEY_SECTION[up]):
             raise MissingArtifactError(
-                f"stage '{stage}' needs stage '{up}': run it first (missing {prov})"
-            ) from None
-        if json.loads(raw)["config_hash"] != cfg.config_hash(_KEY_SECTION[up]):
-            raise MissingArtifactError(
-                f"stage '{stage}' needs stage '{up}' built under this config: run it first"
+                f"stage '{stage}' needs stage '{up}' built under this config: "
+                f"run `vrmsi {_COMMAND[up]}` first"
             )
         inputs[f"{up}/{PROVENANCE}"] = hashlib.sha256(raw).hexdigest()[:16]
+        upstream_artifacts[up] = recorded.get("artifacts", {})
     provenance = {
         "stage": stage,
         "tool_version": __version__,
@@ -124,11 +129,18 @@ def _run_stage(cfg: ExperimentConfig, stage: str, upstream: list[str], force: bo
     }
 
     prov_path = stage_dir / PROVENANCE
-    if prov_path.exists():
-        recorded = json.loads(prov_path.read_text())
-        artifacts = recorded.pop("artifacts", {})
-        if not force and recorded == provenance and artifacts and _intact(stage_dir, artifacts):
-            return stage_dir
+    recorded = json.loads(prov_path.read_text()) if prov_path.exists() else None
+    artifacts = recorded.pop("artifacts", {}) if recorded else {}
+    if not force and recorded == provenance and artifacts and _intact(stage_dir, artifacts):
+        return stage_dir
+    # Checked before anything is unlinked, so a refused build loses nothing.
+    for up, listed in upstream_artifacts.items():
+        if not (listed and _intact(root / up, listed)):
+            raise MissingArtifactError(
+                f"stage '{stage}' needs stage '{up}', whose artifacts are missing or changed: "
+                f"run `vrmsi {_COMMAND[up]}` to rebuild it"
+            )
+    if recorded is not None:
         # A rebuild that fails halfway must not leave the old provenance
         # vouching for a mix of old and new artifacts, and a rebuild under a
         # new config must not leave the old config's artifacts behind.
@@ -171,164 +183,28 @@ def _parallel(jobs: int, fn, items):
         return list(pool.map(fn, items))
 
 
-# ---------------------------------------------------------------------------
-# Phantom geometry templates
-# ---------------------------------------------------------------------------
-
-
-def _subject_ids(cfg: ExperimentConfig) -> dict[str, list[str]]:
-    s = cfg.split
-    n = s["train_subjects"] + s["val_subjects"] + s["test_subjects"]
-    ids = [f"s{i:03d}" for i in range(n)]
-    return {
-        "train": ids[: s["train_subjects"]],
-        "val": ids[s["train_subjects"]: s["train_subjects"] + s["val_subjects"]],
-        "test": ids[s["train_subjects"] + s["val_subjects"]:],
-    }
-
-
-def _family(cfg: ExperimentConfig, subject_idx: int) -> str:
-    """Anatomy of a subject: all knees, or knees and hips alternating by subject."""
-    mixed = cfg.phantom["families"] == "mixed"
-    return "knee" if (not mixed or subject_idx % 2 == 0) else "hip"
-
-
-def _slice_spec(cfg: ExperimentConfig, subject_idx: int, slice_idx: int) -> PhantomSpec:
-    """Jittered geometry for one slice of the subject's family."""
-    p = cfg.phantom
-    rows, cols = p["rows"], p["cols"]
-    rng = np.random.default_rng([cfg.seed, subject_idx, slice_idx])
-    family = _family(cfg, subject_idx)
-
-    def jit(scale):
-        return float(rng.uniform(-scale, scale))
-
-    cy, cx = rows / 2.0, cols / 2.0
-    if family == "knee":
-        body = Ellipse((cy + jit(2), cx + jit(2)), (0.42 * rows + jit(3), 0.44 * cols + jit(3)), 0.9, "body")
-        inner = Ellipse(
-            (cy + 0.08 * rows + jit(2), cx - 0.05 * cols + jit(2)),
-            (0.17 * rows + jit(2), 0.13 * cols + jit(2)),
-            0.55,
-            "inner",
-        )
-        bright = Ellipse(
-            (cy - 0.18 * rows + jit(1.5), cx - 0.16 * cols + jit(1.5)),
-            (0.08 * rows + jit(1), 0.1 * cols + jit(1)),
-            1.0,
-            "bright",
-        )
-        implant_center = (cy - 0.16 * rows + jit(1.5), cx + 0.22 * cols + jit(1.5))
-    else:
-        body = Ellipse((cy + jit(2), cx + jit(2)), (0.38 * rows + jit(3), 0.46 * cols + jit(3)), 0.8, "body")
-        inner = Ellipse(
-            (cy - 0.06 * rows + jit(2), cx + 0.08 * cols + jit(2)),
-            (0.14 * rows + jit(2), 0.17 * cols + jit(2)),
-            0.5,
-            "inner",
-        )
-        bright = Ellipse(
-            (cy + 0.2 * rows + jit(1.5), cx - 0.12 * cols + jit(1.5)),
-            (0.09 * rows + jit(1), 0.08 * cols + jit(1)),
-            1.0,
-            "bright",
-        )
-        implant_center = (cy + 0.14 * rows + jit(1.5), cx - 0.24 * cols + jit(1.5))
-
-    implant = Implant(implant_center, p["implant_radius"], p["implant_amplitude_khz"])
-    segments = _edge_segments(inner, implant, p["edges_per_slice"], rows, cols, rng)
-    return PhantomSpec(
-        rows=rows,
-        cols=cols,
-        shapes=(body, inner, bright),
-        implant=implant,
-        field_span_khz=p["field_span_khz"],
-        n_coils=p["n_coils"],
-        noise_sigma=p["noise_sigma"],
-        edge_segments=segments,
-        texture=p["texture"],
-    )
-
-
-def _edge_segments(inner: Ellipse, implant: Implant, count, rows, cols, rng):
-    """Segments crossing the inner-ellipse boundary, pointing away from metal."""
-    away = math.atan2(inner.center[1] - implant.center[1], inner.center[0] - implant.center[0])
-    segments = []
-    half_len = 5.0
-    attempts = 0
-    while len(segments) < count and attempts < 50 * count:
-        attempts += 1
-        phi = away + rng.uniform(-1.0, 1.0)
-        pr = inner.center[0] + inner.semi_axes[0] * math.cos(phi)
-        pc = inner.center[1] + inner.semi_axes[1] * math.sin(phi)
-        nr = math.cos(phi) / max(inner.semi_axes[0], 1e-6)
-        nc = math.sin(phi) / max(inner.semi_axes[1], 1e-6)
-        norm = math.hypot(nr, nc)
-        nr, nc = nr / norm, nc / norm
-        p0 = (pr - half_len * nr, pc - half_len * nc)
-        p1 = (pr + half_len * nr, pc + half_len * nc)
-        if all(1 <= r <= rows - 2 and 1 <= c <= cols - 2 for r, c in (p0, p1)):
-            segments.append((p0, p1))
-    if len(segments) < count:
-        raise ValueError("could not place the requested edge segments inside the image")
-    return tuple(segments)
-
-
-# ---------------------------------------------------------------------------
-# Truth persistence: stack channels are [pd, off_resonance, coil maps...]
-# ---------------------------------------------------------------------------
-
-
 def _slice_path(root: Path, stage: str, sid: str, slice_idx: int, kind: str) -> Path:
     """Where one slice's artifact of the given kind lives; creates nothing."""
     return root / stage / sid / f"slice{slice_idx:02d}.{kind}"
 
 
-def _save_truth(truth: PhantomTruth, root: Path, sid: str, slice_idx: int, extra: dict) -> None:
-    stack_path = _slice_path(root, STAGE_DATASET, sid, slice_idx, "truth.msstack")
-    stack_path.parent.mkdir(exist_ok=True)
-    channels = np.concatenate(
-        [
-            truth.proton_density[None].astype(np.complex128),
-            truth.off_resonance_khz[None].astype(np.complex128),
-            truth.coil_maps,
-        ]
-    )[:, None]
-    stack = MultiSpectralStack(
-        channels, np.arange(channels.shape[0], dtype=float), DOMAIN_IMAGE, "phantom-truth-v1"
-    )
-    save_stack(stack, stack_path)
-    sidecar = dict(extra)
-    sidecar["edge_segments"] = [[list(p0), list(p1)] for p0, p1 in truth.edge_segments]
-    _slice_path(root, STAGE_DATASET, sid, slice_idx, "meta.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def _load_truth(root: Path, sid: str, slice_idx: int) -> PhantomTruth:
-    stack_path = _slice_path(root, STAGE_DATASET, sid, slice_idx, "truth.msstack")
-    if not stack_path.exists():
-        raise MissingArtifactError(f"missing phantom truth {stack_path}: run the phantom stage")
-    stack = load_stack(stack_path)
-    sidecar = json.loads(_slice_path(root, STAGE_DATASET, sid, slice_idx, "meta.json").read_text())
-    segments = tuple(
-        (tuple(p0), tuple(p1)) for p0, p1 in sidecar["edge_segments"]
-    )
-    return PhantomTruth(
-        np.real(stack.data[0, 0]),
-        np.real(stack.data[1, 0]),
-        stack.data[2:, 0],
-        segments,
-    )
-
-
 def _iter_slices(cfg: ExperimentConfig, roles=("train", "val", "test")):
-    ids = _subject_ids(cfg)
-    for role in roles:
-        for sid in ids[role]:
-            subject_idx = int(sid[1:])
-            for slice_idx in range(cfg.split["slices_per_subject"]):
-                yield role, sid, subject_idx, slice_idx
+    """(role, subject id, subject index, slice index); subjects are numbered train, val, test."""
+    first = 0
+    for role in ("train", "val", "test"):
+        count = cfg.split[f"{role}_subjects"]
+        if role in roles:
+            for subject_idx in range(first, first + count):
+                for slice_idx in range(cfg.split["slices_per_subject"]):
+                    yield role, f"s{subject_idx:03d}", subject_idx, slice_idx
+        first += count
+
+
+def _load_truth(root: Path, sid: str, slice_idx: int):
+    return load_truth(
+        _slice_path(root, STAGE_DATASET, sid, slice_idx, "truth.msstack"),
+        _slice_path(root, STAGE_DATASET, sid, slice_idx, "meta.json"),
+    )
 
 
 def _load_plan(root: Path):
@@ -344,20 +220,18 @@ def cmd_phantom(cfg: ExperimentConfig, force: bool = False) -> Path:
     def build(root, stage_dir):
         manifest = {"subjects": []}
         for role, sid, subject_idx, slice_idx in _iter_slices(cfg):
-            family = _family(cfg, subject_idx)
+            # all knees, or knees and hips alternating by subject
+            family = "hip" if cfg.phantom["families"] == "mixed" and subject_idx % 2 else "knee"
             if slice_idx == 0:
                 manifest["subjects"].append(
                     {"id": sid, "role": role, "family": family, "slices": cfg.split["slices_per_subject"]}
                 )
-            spec = _slice_spec(cfg, subject_idx, slice_idx)
+            spec = cohort_spec(cfg.phantom, family, [cfg.seed, subject_idx, slice_idx])
             truth = generate_phantom(spec, seed=cfg.seed + 7919 * subject_idx + slice_idx)
-            _save_truth(
-                truth,
-                root,
-                sid,
-                slice_idx,
-                {"subject": sid, "slice": slice_idx, "family": family, "role": role},
-            )
+            stack_path = _slice_path(root, STAGE_DATASET, sid, slice_idx, "truth.msstack")
+            stack_path.parent.mkdir(exist_ok=True)
+            save_truth(truth, stack_path, _slice_path(root, STAGE_DATASET, sid, slice_idx, "meta.json"),
+                       {"subject": sid, "slice": slice_idx, "family": family, "role": role})
         (stage_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     return _run_stage(cfg, STAGE_DATASET, [], force, build)
@@ -393,10 +267,7 @@ def cmd_recon(cfg: ExperimentConfig, force: bool = False) -> Path:
 
         def recon_one(task):
             _, sid, _, slice_idx = task
-            ksp_path = _slice_path(root, STAGE_KSPACE, sid, slice_idx, "ksp.msstack")
-            if not ksp_path.exists():
-                raise MissingArtifactError(f"missing k-space {ksp_path}: run the acquire stage")
-            ksp = load_stack(ksp_path)
+            ksp = load_stack(_slice_path(root, STAGE_KSPACE, sid, slice_idx, "ksp.msstack"))
             outputs = {}
             for method in (METHOD_REFERENCE, METHOD_CR_VR, METHOD_CR_ZREPLACE):
                 outputs[method] = reconstruct(
@@ -419,21 +290,9 @@ def cmd_recon(cfg: ExperimentConfig, force: bool = False) -> Path:
     return _run_stage(cfg, STAGE_RECON, [STAGE_KSPACE], force, build)
 
 
-def _load_method(root: Path, sid: str, slice_idx: int, method: str) -> ReconOutput:
+def _load_method(root: Path, sid: str, slice_idx: int, method: str):
     stage = STAGE_INFERRED if method in (METHOD_DL_VR, METHOD_DL_ZREPLACE) else STAGE_RECON
-    path = _slice_path(root, stage, sid, slice_idx, f"{method}.msstack")
-    if not path.exists():
-        missing_stage = "infer" if stage == STAGE_INFERRED else "recon"
-        raise MissingArtifactError(f"missing {method} output {path}: run the {missing_stage} stage")
-    return load_recon(path)
-
-
-def _training_pairs(root: Path, targets, input_method: str):
-    """(input bins, reference ACS bins) pairs from (subject, slice, target) triples."""
-    return [
-        (_load_method(root, sid, slice_idx, input_method).images, target)
-        for sid, slice_idx, target in targets
-    ]
+    return load_recon(_slice_path(root, stage, sid, slice_idx, f"{method}.msstack"))
 
 
 def cmd_train(cfg: ExperimentConfig, force: bool = False) -> Path:
@@ -466,10 +325,16 @@ def cmd_train(cfg: ExperimentConfig, force: bool = False) -> Path:
             ("vr", METHOD_CR_VR, cfg.seed + 1),
             ("zr", METHOD_CR_ZREPLACE, cfg.seed + 2),
         ):
-            train_pairs = _training_pairs(root, targets["train"], input_method)
-            val_pairs = _training_pairs(root, targets["val"], input_method)
+            # (input bins, reference ACS bins) pairs
+            pairs = {
+                role: [
+                    (_load_method(root, sid, slice_idx, input_method).images, target)
+                    for sid, slice_idx, target in role_targets
+                ]
+                for role, role_targets in targets.items()
+            }
             model = UNet(model_cfg, seed=model_seed)
-            model, history, optimizer = train(train_pairs, val_pairs, model, train_cfg)
+            model, history, optimizer = train(pairs["train"], pairs["val"], model, train_cfg)
             save_model(
                 model,
                 stage_dir / f"model_{variant}.msmodel",
@@ -511,26 +376,6 @@ def cmd_infer(cfg: ExperimentConfig, force: bool = False) -> Path:
     return _run_stage(cfg, STAGE_INFERRED, [STAGE_KSPACE, STAGE_RECON, STAGE_MODELS], force, build)
 
 
-def _scaled_segment(seg, scale_r: float, scale_c: float) -> EdgeSegment:
-    (r0, c0), (r1, c1) = seg
-    return EdgeSegment((r0 * scale_r, c0 * scale_c), (r1 * scale_r, c1 * scale_c))
-
-
-def _high_gradient_region(truth: PhantomTruth, out_shape) -> np.ndarray:
-    gr, gc = np.gradient(truth.off_resonance_khz)
-    grad = np.hypot(gr, gc)
-    support = truth.proton_density > 0.05
-    if not support.any():
-        return np.zeros(out_shape, dtype=bool)
-    threshold = np.percentile(grad[support], 75.0)
-    region = support & (grad >= threshold)
-    if region.shape == tuple(out_shape):
-        return region
-    ri = (np.arange(out_shape[0]) * region.shape[0] / out_shape[0]).astype(int)
-    ci = (np.arange(out_shape[1]) * region.shape[1] / out_shape[1]).astype(int)
-    return region[np.ix_(ri, ci)]
-
-
 def cmd_eval(cfg: ExperimentConfig, force: bool = False) -> Path:
     def build(root, stage_dir):
         plan = _load_plan(root)
@@ -548,10 +393,11 @@ def cmd_eval(cfg: ExperimentConfig, force: bool = False) -> Path:
             outputs = {m: _load_method(root, sid, slice_idx, m) for m in methods}
             combined = {m: rsos_bins(outputs[m].images) for m in methods}
             segments = [
-                _scaled_segment(seg, scale_r, scale_c) for seg in truth.edge_segments
+                EdgeSegment((r0 * scale_r, c0 * scale_c), (r1 * scale_r, c1 * scale_c))
+                for (r0, c0), (r1, c1) in truth.edge_segments
             ]
 
-            region = _high_gradient_region(truth, out_shape)
+            region = high_gradient_region(truth.off_resonance_khz, truth.proton_density, out_shape)
             for method in (METHOD_DL_VR, METHOD_DL_ZREPLACE):
                 diff = outputs[method].images[acs_bins] - outputs[METHOD_REFERENCE].images[acs_bins]
                 if region.any():

@@ -138,9 +138,18 @@ def shots_required(mask: np.ndarray, etl: int) -> int:
     return -(-int(np.count_nonzero(mask)) // etl)
 
 
+def _shot_counts(params: AcquisitionParams) -> tuple[int, int]:
+    """(Ns, Ns_acs): echo trains of the full-scheme and of the ACS-only mask."""
+    ky, kz = params.matrix
+    return (
+        shots_required(full_scheme_mask(params), params.etl),
+        shots_required(acs_only_mask(ky, kz, params.acs), params.etl),
+    )
+
+
 def scan_time_conventional(params: AcquisitionParams) -> float:
     """TR * Ns * Nc with Ns counted from the routine full-scheme mask."""
-    ns = shots_required(full_scheme_mask(params), params.etl)
+    ns, _ = _shot_counts(params)
     return params.tr_seconds * ns * params.n_concat
 
 
@@ -148,9 +157,7 @@ def scan_time_vr(params: AcquisitionParams) -> float:
     """TR * (Nc / 2) * (Ns + Ns_acs)."""
     if params.n_concat % 2 != 0:
         raise ValueError("VR timing needs an even concatenation count")
-    ky, kz = params.matrix
-    ns = shots_required(full_scheme_mask(params), params.etl)
-    ns_acs = shots_required(acs_only_mask(ky, kz, params.acs), params.etl)
+    ns, ns_acs = _shot_counts(params)
     return params.tr_seconds * (params.n_concat / 2) * (ns + ns_acs)
 
 
@@ -160,9 +167,7 @@ def efficiency_gain(params: AcquisitionParams) -> float:
     TR and Nc cancel, so this is 1 - (Ns + Ns_acs) / (2 Ns) regardless of
     timing parameters.
     """
-    ky, kz = params.matrix
-    ns = shots_required(full_scheme_mask(params), params.etl)
-    ns_acs = shots_required(acs_only_mask(ky, kz, params.acs), params.etl)
+    ns, ns_acs = _shot_counts(params)
     return 1.0 - (ns + ns_acs) / (2.0 * ns)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from vrmsi.config import load_config
 from vrmsi.core import fft_stack
 from vrmsi.phantom import (
     Ellipse,
@@ -13,9 +14,12 @@ from vrmsi.phantom import (
     PhantomSpec,
     PhantomTruth,
     bin_profile,
+    cohort_spec,
     coil_sensitivities,
     dipole_field,
     generate_phantom,
+    load_truth,
+    save_truth,
     simulate_bins,
     to_kspace,
 )
@@ -213,3 +217,38 @@ class TestNoise:
         measured = np.sqrt(np.mean(np.abs(corner) ** 2))
         requested = sigma * dc
         assert abs(measured - requested) / requested < 0.10
+
+
+class TestCohort:
+    params = load_config(None).phantom
+
+    def test_same_entropy_same_spec(self):
+        assert cohort_spec(self.params, "knee", [5, 1, 2]) == cohort_spec(self.params, "knee", [5, 1, 2])
+        assert cohort_spec(self.params, "knee", [5, 1, 2]) != cohort_spec(self.params, "knee", [5, 1, 3])
+
+    def test_knee_and_hip_differ(self):
+        knee = cohort_spec(self.params, "knee", [5, 0, 0])
+        hip = cohort_spec(self.params, "hip", [5, 0, 0])
+        assert knee.shapes != hip.shapes
+        assert knee.implant != hip.implant
+
+    @pytest.mark.parametrize("family", ["knee", "hip"])
+    def test_three_labelled_shapes_and_edges_inside(self, family):
+        spec = cohort_spec(self.params, family, [9, 3, 1])
+        assert [shape.label for shape in spec.shapes] == ["body", "inner", "bright"]
+        assert len(spec.edge_segments) == self.params["edges_per_slice"]
+        for p0, p1 in spec.edge_segments:
+            for r, c in (p0, p1):
+                assert 1 <= r <= spec.rows - 2 and 1 <= c <= spec.cols - 2
+
+    def test_truth_round_trip(self, tmp_path):
+        spec = cohort_spec(self.params, "hip", [9, 3, 1])
+        truth = generate_phantom(spec, seed=4)
+        stack_path, sidecar_path = tmp_path / "t.truth.msstack", tmp_path / "t.meta.json"
+        save_truth(truth, stack_path, sidecar_path, {"role": "test"})
+        loaded = load_truth(stack_path, sidecar_path)
+        # the stack payload is complex64, so maps round-trip at single precision
+        assert np.array_equal(loaded.proton_density, truth.proton_density.astype(np.float32))
+        assert np.array_equal(loaded.off_resonance_khz, truth.off_resonance_khz.astype(np.float32))
+        assert np.array_equal(loaded.coil_maps, truth.coil_maps.astype(np.complex64))
+        assert loaded.edge_segments == truth.edge_segments

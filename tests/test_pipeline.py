@@ -303,6 +303,36 @@ class TestStages:
             cmd_acquire(old)
         assert main(["acquire", "--config", str(tmp_path / "exp.ini")]) == 3
 
+    def test_refused_rebuild_keeps_its_artifacts(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, out_name="gap")
+        run_all(cfg)
+        root = Path(cfg.out_dir)
+
+        def snapshot():
+            return {p: (p.stat().st_size, p.stat().st_mtime_ns) for p in (root / "models").rglob("*")}
+
+        models = snapshot()
+        (root / "recon" / "s000" / "slice00.CR_VR.msstack").unlink()
+        capsys.readouterr()
+        assert main(["train", "--config", str(tmp_path / "exp.ini"), "--force"]) == 3
+        assert "vrmsi recon" in capsys.readouterr().err
+        assert models and snapshot() == models
+
+    def test_stale_upstream_names_its_command(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        old = TINY_INI.format(out=tmp_path / "renoised")
+        ini.write_text(old)
+        assert main(["phantom", "--config", str(ini)]) == 0
+        assert main(["acquire", "--config", str(ini)]) == 0
+        ini.write_text(old.replace("noise_sigma = 0.002", "noise_sigma = 0.004"))
+        assert main(["phantom", "--config", str(ini)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", str(ini)]) == 3
+        assert "vrmsi acquire" in capsys.readouterr().err
+        ini.write_text(old)
+        assert main(["acquire", "--config", str(ini)]) == 3
+        assert "vrmsi phantom" in capsys.readouterr().err
+
     def test_eval_refuses_mixed_provenance(self, pipeline_run):
         prov_path = Path(pipeline_run.out_dir) / "dataset" / "provenance.json"
         original = prov_path.read_text()
