@@ -99,7 +99,8 @@ def main(argv=None) -> int:
         print(f"missing dependency: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (NumericalError, DataIntegrityError, ContainerError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        kind = "malformed artifact" if isinstance(exc, ContainerError) else "numerical failure"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -1,4 +1,4 @@
-"""Multi-spectral stacks, centered Fourier transforms, and the MSSTACK container.
+"""Multi-spectral stacks, centered Fourier transforms, and the artifact codec.
 
 Conventions used by every module in this package:
 
@@ -7,11 +7,18 @@ Conventions used by every module in this package:
 * Forward and inverse transforms are unitary (``1/sqrt(N)`` both ways), so
   energy is preserved and Parseval checks are scale free.
 * Arrays are complex128 in memory; containers store complex64 on disk.
+* This module is the only one that frames or parses a file header: one
+  MSSTACK writer/reader pair serves stacks (complex64), recons (float32),
+  plans (uint8) and truths (complex64), and one payload splitter checks
+  every payload, MSMODEL checkpoints included.  A malformed file raises a
+  ``ContainerError``, which the CLI maps to exit code 4.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -24,12 +31,8 @@ MAGIC_STACK = b"MSSTACK\0"
 MAGIC_MODEL = b"MSMODEL\0"
 CONTAINER_VERSION = 1
 
-_PAYLOAD_DTYPES = {
-    "complex64": np.dtype("<c8"),
-    "float32": np.dtype("<f4"),
-    "float64": np.dtype("<f8"),
-    "uint8": np.dtype("u1"),
-}
+_PAYLOAD_DTYPES = {"complex64": np.dtype("<c8"), "float32": np.dtype("<f4"), "uint8": np.dtype("u1")}
+_STACK_DIMS = ("n_bins", "n_coils", "rows", "cols")
 
 
 class DataIntegrityError(ValueError):
@@ -174,6 +177,12 @@ def crop_center_array(arr: np.ndarray, out_rows: int, out_cols: int) -> np.ndarr
 # bytes 8-11   little-endian u32 version (= 1)
 # bytes 12-15  little-endian u32 JSON length
 # then         UTF-8 JSON metadata, then raw payload
+#
+# Every MSSTACK file (stacks, recons, plans, truths) is written and read by
+# write_stack_file/read_stack_file: the header carries n_bins, n_coils, rows,
+# cols, domain, bin_centers_khz, provenance and the required payload_dtype,
+# plus any caller keys.  payload_arrays splits every payload, checkpoints
+# included, and refuses one its declared shapes do not exactly fill.
 # ---------------------------------------------------------------------------
 
 
@@ -189,7 +198,7 @@ def write_container(path, magic: bytes, metadata: dict, payload: bytes) -> None:
         fh.write(payload)
 
 
-def read_container(path, magic: bytes) -> tuple[dict, bytes]:
+def read_container(path, magic: bytes) -> tuple[dict, memoryview]:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16 or raw[:8] != magic:
@@ -203,38 +212,50 @@ def read_container(path, magic: bytes) -> tuple[dict, bytes]:
         metadata = json.loads(raw[16:16 + json_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path}: unreadable metadata: {exc}") from exc
-    return metadata, raw[16 + json_len:]
+    if not isinstance(metadata, dict):
+        raise ContainerError(f"{path}: metadata is not a JSON object")
+    return metadata, memoryview(raw)[16 + json_len:]
+
+
+def payload_arrays(path, payload, dtype, shapes) -> list[np.ndarray]:
+    """Read-only views of ``payload`` in the given shapes, laid end to end over every byte."""
+    dtype = np.dtype(dtype)
+    sizes = [math.prod(shape) for shape in shapes]
+    expected = sum(sizes) * dtype.itemsize
+    if any(d < 0 for shape in shapes for d in shape) or len(payload) != expected:
+        raise TruncatedPayloadError(f"{path}: payload holds {len(payload)} bytes, header implies {expected}")
+    flat = np.frombuffer(payload, dtype=dtype)
+    offsets = np.cumsum([0] + sizes)
+    return [flat[o:o + size].reshape(shape) for o, size, shape in zip(offsets, sizes, shapes)]
+
+
+def write_stack_file(path, data4d, payload_dtype: str, domain: str, bin_centers_khz=(),
+                     provenance: str = "", **extra) -> None:
+    """Frame a (bins, coils, rows, cols) array as an MSSTACK container; ``extra`` joins the header."""
+    metadata = dict(zip(_STACK_DIMS, map(int, data4d.shape), strict=True), domain=domain,
+                    bin_centers_khz=[float(c) for c in bin_centers_khz], provenance=provenance,
+                    payload_dtype=payload_dtype, **extra)
+    payload = np.ascontiguousarray(data4d, dtype=_PAYLOAD_DTYPES[payload_dtype]).tobytes()
+    write_container(path, MAGIC_STACK, metadata, payload)
+
+
+def read_stack_file(path) -> tuple[dict, np.ndarray]:
+    """The header of an MSSTACK container and a read-only (bins, coils, rows, cols) payload view."""
+    metadata, payload = read_container(path, MAGIC_STACK)
+    try:
+        dtype = _PAYLOAD_DTYPES[metadata["payload_dtype"]]
+        shape = tuple(operator.index(metadata[key]) for key in _STACK_DIMS)
+    except (KeyError, TypeError) as exc:
+        raise ContainerError(f"{path}: bad stack header: {exc!r}") from exc
+    return metadata, payload_arrays(path, payload, dtype, [shape])[0]
 
 
 def save_stack(stack: MultiSpectralStack, path) -> None:
     """Write a stack as an MSSTACK container (little-endian complex64 payload)."""
-    metadata = {
-        "n_bins": stack.n_bins,
-        "n_coils": stack.n_coils,
-        "rows": stack.rows,
-        "cols": stack.cols,
-        "domain": stack.domain,
-        "bin_centers_khz": [float(c) for c in stack.bin_centers_khz],
-        "provenance": stack.provenance,
-        "payload_dtype": "complex64",
-    }
-    payload = np.ascontiguousarray(stack.data.astype(_PAYLOAD_DTYPES["complex64"])).tobytes()
-    write_container(path, MAGIC_STACK, metadata, payload)
+    write_stack_file(path, stack.data, "complex64", stack.domain, stack.bin_centers_khz, stack.provenance)
 
 
 def load_stack(path) -> MultiSpectralStack:
     """Read an MSSTACK container written by save_stack."""
-    metadata, payload = read_container(path, MAGIC_STACK)
-    dtype = _PAYLOAD_DTYPES[metadata.get("payload_dtype", "complex64")]
-    shape = (metadata["n_bins"], metadata["n_coils"], metadata["rows"], metadata["cols"])
-    expected = int(np.prod(shape)) * dtype.itemsize
-    if len(payload) != expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {len(payload)} bytes, dims imply {expected}"
-        )
-    return MultiSpectralStack(
-        np.frombuffer(payload, dtype=dtype).reshape(shape),
-        metadata["bin_centers_khz"],
-        metadata["domain"],
-        metadata.get("provenance", ""),
-    )
+    meta, data = read_stack_file(path)
+    return MultiSpectralStack(data, meta["bin_centers_khz"], meta["domain"], meta.get("provenance", ""))

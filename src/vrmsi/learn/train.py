@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from vrmsi.core import MAGIC_MODEL, read_container, write_container
+from vrmsi.core import (
+    MAGIC_MODEL,
+    BadVersionError,
+    ContainerError,
+    payload_arrays,
+    read_container,
+    write_container,
+)
 from vrmsi.learn.model import ModelConfig, UNet
 from vrmsi.recon import METHOD_DL_VR, METHOD_DL_ZREPLACE, ReconOutput
 from vrmsi.sampling import ACS_ONLY, SamplingPlan
@@ -208,18 +216,15 @@ def load_model(path) -> tuple[UNet, dict]:
     """Rebuild a UNet (weights only) from an MSMODEL checkpoint."""
     metadata, payload = read_container(path, MAGIC_MODEL)
     if metadata.get("norm_schema") != NORM_SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported normalization schema")
-    config = ModelConfig.from_dict(metadata["model_config"])
+        raise BadVersionError(f"{path}: unsupported normalization schema")
+    try:
+        config = ModelConfig.from_dict(metadata["model_config"])
+        shapes = [tuple(map(operator.index, entry["shape"])) for entry in metadata["tensors"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContainerError(f"{path}: unreadable checkpoint header: {exc!r}") from exc
     model = UNet(config, seed=0)
-    arrays = []
-    offset = 0
-    for entry in metadata["tensors"]:
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
-        offset += size * 8
-        arrays.append(arr.reshape(entry["shape"]))
-    n_params = len(model.parameter_names())
-    model.set_parameters(arrays[:n_params])
+    arrays = payload_arrays(path, payload, "<f8", shapes)
+    model.set_parameters(arrays[:len(model.parameter_names())])
     return model, metadata
 
 

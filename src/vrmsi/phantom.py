@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vrmsi.core import DOMAIN_IMAGE, MultiSpectralStack, fft_stack, load_stack, save_stack
+from vrmsi.core import DOMAIN_IMAGE, MultiSpectralStack, fft_stack, read_stack_file, write_stack_file
 
 _EDGE_SOFTNESS_PX = 1.5
 
@@ -181,32 +181,25 @@ def _edge_segments(inner: Ellipse, implant: Implant, count, rows, cols, rng):
     return tuple(segments)
 
 
-# Truth persistence: stack channels are [pd, off_resonance, coil maps...],
-# and the JSON sidecar carries the edge segments plus caller metadata.
+# Truth persistence: complex64 stack channels are [pd, off_resonance, coil
+# maps...], so the two real maps come back at single precision; the JSON
+# sidecar carries the edge segments plus caller metadata.
 
 
 def save_truth(truth: PhantomTruth, stack_path, sidecar_path, extra: dict) -> None:
-    channels = np.concatenate(
-        [
-            truth.proton_density[None].astype(np.complex128),
-            truth.off_resonance_khz[None].astype(np.complex128),
-            truth.coil_maps,
-        ]
-    )[:, None]
-    stack = MultiSpectralStack(
-        channels, np.arange(channels.shape[0], dtype=float), DOMAIN_IMAGE, "phantom-truth-v1"
-    )
-    save_stack(stack, stack_path)
+    channels = np.concatenate([truth.proton_density[None], truth.off_resonance_khz[None], truth.coil_maps])
+    write_stack_file(stack_path, channels[:, None], "complex64", DOMAIN_IMAGE, range(len(channels)),
+                     "phantom-truth-v1")
     sidecar = dict(extra)
     sidecar["edge_segments"] = [[list(p0), list(p1)] for p0, p1 in truth.edge_segments]
     Path(sidecar_path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def load_truth(stack_path, sidecar_path) -> PhantomTruth:
-    stack = load_stack(stack_path)
+    channels = read_stack_file(stack_path)[1][:, 0].astype(np.complex128)
     sidecar = json.loads(Path(sidecar_path).read_text())
     segments = tuple((tuple(p0), tuple(p1)) for p0, p1 in sidecar["edge_segments"])
-    return PhantomTruth(np.real(stack.data[0, 0]), np.real(stack.data[1, 0]), stack.data[2:, 0], segments)
+    return PhantomTruth(channels[0].real, channels[1].real, channels[2:], segments)
 
 
 def _ellipse_coverage(rr, cc, center, semi_axes) -> np.ndarray:

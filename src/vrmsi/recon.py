@@ -20,14 +20,14 @@ from itertools import product
 import numpy as np
 
 from vrmsi.core import (
-    MAGIC_STACK,
+    DOMAIN_IMAGE,
     MultiSpectralStack,
     crop_center_array,
     fft2c,
     ifft2c,
     pad_center_array,
-    read_container,
-    write_container,
+    read_stack_file,
+    write_stack_file,
 )
 from vrmsi.sampling import FULL_SCHEME, SamplingPlan, partial_fourier_mask
 
@@ -314,26 +314,10 @@ def _resample_to(image: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
 
 
 def save_recon(output: ReconOutput, path) -> None:
-    metadata = {
-        "n_bins": output.n_bins,
-        "n_coils": 1,
-        "rows": int(output.images.shape[1]),
-        "cols": int(output.images.shape[2]),
-        "domain": "image",
-        "bin_centers_khz": [],
-        "provenance": output.mask_provenance,
-        "payload_dtype": "float32",
-        "method": output.method,
-    }
-    payload = output.images.astype("<f4").tobytes()
-    write_container(path, MAGIC_STACK, metadata, payload)
+    write_stack_file(path, output.images[:, None], "float32", DOMAIN_IMAGE,
+                     provenance=output.mask_provenance, method=output.method)
 
 
 def load_recon(path) -> ReconOutput:
-    metadata, payload = read_container(path, MAGIC_STACK)
-    shape = (metadata["n_bins"], metadata["rows"], metadata["cols"])
-    expected = int(np.prod(shape)) * 4
-    if len(payload) != expected:
-        raise ValueError(f"{path}: recon payload size mismatch")
-    images = np.frombuffer(payload, dtype="<f4").reshape(shape)
-    return ReconOutput(np.maximum(images, 0.0), metadata["method"], metadata.get("provenance", ""))
+    metadata, images = read_stack_file(path)
+    return ReconOutput(np.maximum(images[:, 0], 0.0), metadata["method"], metadata.get("provenance", ""))

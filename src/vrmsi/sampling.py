@@ -11,12 +11,11 @@ fixed convention is what the homodyne reconstruction assumes.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from vrmsi.core import MAGIC_STACK, read_container, write_container
+from vrmsi.core import DOMAIN_KSPACE, read_stack_file, write_stack_file
 
 FULL_SCHEME = "FULL_SCHEME"
 ACS_ONLY = "ACS_ONLY"
@@ -172,47 +171,12 @@ def efficiency_gain(params: AcquisitionParams) -> float:
 
 
 def save_plan(plan: SamplingPlan, path) -> None:
-    """Persist masks as a u8 container with scheme labels in the metadata."""
-    p = plan.params
-    metadata = {
-        "n_bins": plan.n_bins,
-        "n_coils": 1,
-        "rows": int(plan.masks.shape[1]),
-        "cols": int(plan.masks.shape[2]),
-        "domain": "kspace",
-        "bin_centers_khz": [],
-        "provenance": "sampling-plan",
-        "payload_dtype": "uint8",
-        "schemes": list(plan.schemes),
-        "params": {
-            "tr_seconds": p.tr_seconds,
-            "etl": p.etl,
-            "n_concat": p.n_concat,
-            "n_bins": p.n_bins,
-            "matrix": list(p.matrix),
-            "accel": list(p.accel),
-            "pf_overscan": p.pf_overscan,
-            "acs": list(p.acs),
-        },
-    }
-    write_container(path, MAGIC_STACK, metadata, plan.masks.astype(np.uint8).tobytes())
+    """Persist masks as a u8 stack with scheme labels and acquisition params in the header."""
+    write_stack_file(path, plan.masks[:, None], "uint8", DOMAIN_KSPACE, provenance="sampling-plan",
+                     schemes=plan.schemes, params=asdict(plan.params))
 
 
 def load_plan(path) -> SamplingPlan:
-    metadata, payload = read_container(path, MAGIC_STACK)
-    shape = (metadata["n_bins"], metadata["rows"], metadata["cols"])
-    if len(payload) != math.prod(shape):
-        raise ValueError(f"{path}: mask payload size mismatch")
-    masks = np.frombuffer(payload, dtype=np.uint8).reshape(shape)
-    mp = metadata["params"]
-    params = AcquisitionParams(
-        tr_seconds=mp["tr_seconds"],
-        etl=mp["etl"],
-        n_concat=mp["n_concat"],
-        n_bins=mp["n_bins"],
-        matrix=tuple(mp["matrix"]),
-        accel=tuple(mp["accel"]),
-        pf_overscan=mp["pf_overscan"],
-        acs=tuple(mp["acs"]),
-    )
-    return SamplingPlan(masks, tuple(metadata["schemes"]), params)
+    metadata, masks = read_stack_file(path)
+    params = {k: tuple(v) if isinstance(v, list) else v for k, v in metadata["params"].items()}
+    return SamplingPlan(masks[:, 0], tuple(metadata["schemes"]), AcquisitionParams(**params))

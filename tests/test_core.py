@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from vrmsi.core import (
+    MAGIC_MODEL,
+    MAGIC_STACK,
     BadMagicError,
     BadVersionError,
+    ContainerError,
     DataIntegrityError,
     MultiSpectralStack,
     TruncatedPayloadError,
@@ -16,9 +19,13 @@ from vrmsi.core import (
     ifft_stack,
     load_stack,
     pad_center_array,
+    read_container,
     save_stack,
+    write_container,
 )
+from vrmsi.learn import ModelConfig, UNet, load_model, save_model
 from vrmsi.recon import ReconOutput, load_recon, save_recon
+from vrmsi.sampling import AcquisitionParams, build_vr_plan, load_plan, save_plan
 
 
 def dft2_oracle(x):
@@ -158,6 +165,37 @@ def random_stack(seed=0, n_bins=8, n_coils=2, rows=64, cols=64):
     return MultiSpectralStack(data, centers, "kspace", provenance="test")
 
 
+def _write_stack(path):
+    save_stack(random_stack(), path)
+    return load_stack
+
+
+def _write_recon(path):
+    save_recon(ReconOutput(np.ones((2, 8, 8)), "CR_VR"), path)
+    return load_recon
+
+
+def _write_plan(path):
+    save_plan(build_vr_plan(AcquisitionParams(2.0, 8, 2, 4, (16, 16), (2, 2), 8, (4, 4))), path)
+    return load_plan
+
+
+def _write_checkpoint(path):
+    save_model(UNet(ModelConfig(4, 2, 2, (4, 6)), seed=0), path)
+    return load_model
+
+
+# one writer per artifact kind; each returns the loader that reads its file back
+WRITERS = {"stack": _write_stack, "recon": _write_recon, "plan": _write_plan, "checkpoint": _write_checkpoint}
+
+
+def rewrite_header(path, magic, edit):
+    """Apply ``edit`` to a container's JSON metadata in place, keeping its payload."""
+    metadata, payload = read_container(path, magic)
+    edit(metadata)
+    write_container(path, magic, metadata, bytes(payload))
+
+
 class TestContainer:
     def test_round_trip_bit_identical(self, tmp_path):
         stack = random_stack(seed=4)
@@ -187,13 +225,63 @@ class TestContainer:
         with pytest.raises(BadVersionError):
             load_stack(path)
 
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "stack.msstack"
-        save_stack(random_stack(), path)
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_truncated_payload(self, tmp_path, kind):
+        path = tmp_path / "artifact"
+        load = WRITERS[kind](path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-17])
         with pytest.raises(TruncatedPayloadError):
+            load(path)
+
+    def test_checkpoint_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.msmodel"
+        load = WRITERS["checkpoint"](path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(TruncatedPayloadError):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: meta.pop("payload_dtype"),
+            lambda meta: meta.update(payload_dtype="float64"),
+            lambda meta: meta.update(rows=meta["rows"] + 0.5),
+            lambda meta: meta.pop("cols"),
+            lambda meta: meta.update(n_bins=-meta["n_bins"], rows=-meta["rows"]),
+        ],
+        ids=["missing-dtype", "unknown-dtype", "non-integer-rows", "missing-cols", "negative-dims"],
+    )
+    def test_malformed_stack_header(self, tmp_path, edit):
+        path = tmp_path / "stack.msstack"
+        save_stack(random_stack(), path)
+        rewrite_header(path, MAGIC_STACK, edit)
+        with pytest.raises(ContainerError):
             load_stack(path)
+
+    def test_metadata_must_be_an_object(self, tmp_path):
+        path = tmp_path / "stack.msstack"
+        write_container(path, MAGIC_STACK, [1, 2], b"")
+        with pytest.raises(ContainerError):
+            load_stack(path)
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda meta: meta.update(norm_schema=2), BadVersionError),
+            (lambda meta: meta["model_config"].pop("n_levels"), ContainerError),
+            (lambda meta: meta["model_config"].update(channels=[4]), ContainerError),
+            (lambda meta: meta.pop("tensors"), ContainerError),
+            (lambda meta: meta["tensors"][0].update(shape=[6.0]), ContainerError),
+        ],
+        ids=["norm-schema", "missing-config-key", "bad-config", "missing-tensors", "non-integer-shape"],
+    )
+    def test_malformed_checkpoint_header(self, tmp_path, edit, error):
+        path = tmp_path / "model.msmodel"
+        WRITERS["checkpoint"](path)
+        rewrite_header(path, MAGIC_MODEL, edit)
+        with pytest.raises(error):
+            load_model(path)
 
     def test_magic_bytes_layout(self, tmp_path):
         path = tmp_path / "stack.msstack"

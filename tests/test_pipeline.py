@@ -415,3 +415,26 @@ class TestCli:
         other = tmp_path / "elsewhere"
         assert main(["phantom", "--config", str(ini), "--out", str(other)]) == 0
         assert (other / "dataset" / "manifest.json").exists()
+
+    def test_malformed_artifact_exit_code(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        cfg = tiny_config(tmp_path, out_name="malformed")
+        run_all(cfg)
+        root = Path(cfg.out_dir)
+        # Same-size header edits, which the size-only cache check cannot see.
+        # Each refused rebuild empties its own stage, so the order matters:
+        # the checkpoint case runs before `train` loses models/.
+        cases = [
+            ("infer", "models/model_vr.msmodel", '"shape": [6', '"shape": [5'),
+            ("train", "recon/s000/slice00.CR_VR.msstack", '"rows": 32', '"rows": 31'),
+            ("recon", "kspace/plan.msstack", '"rows": 32', '"rows": 31'),
+        ]
+        for command, rel, old, new in cases:
+            path = root / rel
+            raw = path.read_bytes()
+            assert old.encode() in raw, rel
+            path.write_bytes(raw.replace(old.encode(), new.encode(), 1))
+            capsys.readouterr()
+            assert main([command, "--config", str(ini), "--force"]) == 4, rel
+            err = capsys.readouterr().err
+            assert err.startswith("malformed artifact") and str(path) in err, rel
