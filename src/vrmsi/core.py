@@ -20,6 +20,7 @@ import json
 import math
 import operator
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,12 +243,19 @@ def write_stack_file(path, data4d, payload_dtype: str, domain: str, bin_centers_
 def read_stack_file(path) -> tuple[dict, np.ndarray]:
     """The header of an MSSTACK container and a read-only (bins, coils, rows, cols) payload view."""
     metadata, payload = read_container(path, MAGIC_STACK)
-    try:
+    with header_fields(path):
         dtype = _PAYLOAD_DTYPES[metadata["payload_dtype"]]
         shape = tuple(operator.index(metadata[key]) for key in _STACK_DIMS)
-    except (KeyError, TypeError) as exc:
-        raise ContainerError(f"{path}: bad stack header: {exc!r}") from exc
     return metadata, payload_arrays(path, payload, dtype, [shape])[0]
+
+
+@contextmanager
+def header_fields(path):
+    """Re-raise a header field that fails to parse or validate as a ContainerError naming ``path``."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ContainerError(f"{path}: bad header: {exc!r}") from exc
 
 
 def save_stack(stack: MultiSpectralStack, path) -> None:
@@ -258,4 +266,5 @@ def save_stack(stack: MultiSpectralStack, path) -> None:
 def load_stack(path) -> MultiSpectralStack:
     """Read an MSSTACK container written by save_stack."""
     meta, data = read_stack_file(path)
-    return MultiSpectralStack(data, meta["bin_centers_khz"], meta["domain"], meta.get("provenance", ""))
+    with header_fields(path):
+        return MultiSpectralStack(data, meta["bin_centers_khz"], meta["domain"], meta.get("provenance", ""))

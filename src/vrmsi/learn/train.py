@@ -10,7 +10,7 @@ import numpy as np
 from vrmsi.core import (
     MAGIC_MODEL,
     BadVersionError,
-    ContainerError,
+    header_fields,
     payload_arrays,
     read_container,
     write_container,
@@ -217,11 +217,9 @@ def load_model(path) -> tuple[UNet, dict]:
     metadata, payload = read_container(path, MAGIC_MODEL)
     if metadata.get("norm_schema") != NORM_SCHEMA_VERSION:
         raise BadVersionError(f"{path}: unsupported normalization schema")
-    try:
+    with header_fields(path):
         config = ModelConfig.from_dict(metadata["model_config"])
         shapes = [tuple(map(operator.index, entry["shape"])) for entry in metadata["tensors"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ContainerError(f"{path}: unreadable checkpoint header: {exc!r}") from exc
     model = UNet(config, seed=0)
     arrays = payload_arrays(path, payload, "<f8", shapes)
     model.set_parameters(arrays[:len(model.parameter_names())])

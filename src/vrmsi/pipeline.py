@@ -268,17 +268,13 @@ def cmd_recon(cfg: ExperimentConfig, force: bool = False) -> Path:
         def recon_one(task):
             _, sid, _, slice_idx = task
             ksp = load_stack(_slice_path(root, STAGE_KSPACE, sid, slice_idx, "ksp.msstack"))
-            outputs = {}
-            for method in (METHOD_REFERENCE, METHOD_CR_VR, METHOD_CR_ZREPLACE):
-                outputs[method] = reconstruct(
-                    plan,
-                    ksp,
-                    method,
-                    out_shape=out_shape,
-                    apod_sigma_fraction=r["apod_sigma_fraction"],
-                    kernel_taps=(r["kernel_ky"], r["kernel_kz"]),
-                    ridge=r["ridge"],
-                )
+            options = dict(out_shape=out_shape, apod_sigma_fraction=r["apod_sigma_fraction"],
+                           kernel_taps=(r["kernel_ky"], r["kernel_kz"]), ridge=r["ridge"])
+            # The CR methods copy REFERENCE's full-scheme bins: one PI per bin.
+            reference = reconstruct(plan, ksp, METHOD_REFERENCE, **options)
+            outputs = {METHOD_REFERENCE: reference}
+            for method in (METHOD_CR_VR, METHOD_CR_ZREPLACE):
+                outputs[method] = reconstruct(plan, ksp, method, reference=reference, **options)
             return sid, slice_idx, outputs
 
         for sid, slice_idx, outputs in _parallel(cfg.jobs, recon_one, list(_iter_slices(cfg))):

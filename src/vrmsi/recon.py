@@ -24,6 +24,7 @@ from vrmsi.core import (
     MultiSpectralStack,
     crop_center_array,
     fft2c,
+    header_fields,
     ifft2c,
     pad_center_array,
     read_stack_file,
@@ -190,6 +191,10 @@ def pi_interpolate(
 
     taps_y = (np.arange(geometry.ky_taps) - (geometry.ky_taps - 1) // 2) * ry
     taps_z = (np.arange(geometry.kz_taps) - (geometry.kz_taps - 1) // 2) * rz
+    # Every source offset below lies in [min(taps) - (r - 1), max(taps)].
+    pad_y = int(max(ry - 1 - taps_y.min(), taps_y.max()))
+    pad_z = int(max(rz - 1 - taps_z.min(), taps_z.max()))
+    padded = np.pad(ksp, ((0, 0), (pad_y, pad_y), (pad_z, pad_z)))
     out = ksp.copy()
 
     for dy, dz in product(range(ry), range(rz)):
@@ -198,8 +203,31 @@ def pi_interpolate(
         src_y = taps_y - dy
         src_z = taps_z - dz
         w = _fit_kernel(acs_block, src_y, src_z, geometry.ridge)
-        _apply_kernel(out, ksp, w, src_y, src_z, (ry, dy), (rz, dz), mask)
+        y0 = (ky // 2 + dy) % ry
+        z0 = (kz // 2 + dz) % rz
+        counts = (len(range(y0, ky, ry)), len(range(z0, kz, rz)))
+        src = _tap_matrix(padded, (y0 + pad_y, z0 + pad_z), counts, (ry, rz), src_y, src_z)
+        values = (w.T @ src).reshape(nc, *counts)
+        np.copyto(out[:, y0::ry, z0::rz], values, where=~mask[y0::ry, z0::rz])
     return out
+
+
+def _tap_matrix(grid: np.ndarray, start, counts, step, src_y, src_z) -> np.ndarray:
+    """Source samples of a strided target lattice, one row per (coil, tap).
+
+    The targets are ``grid[:, start[0] + i * step[0], start[1] + j * step[1]]``
+    for ``i, j < counts``; each kernel tap reads the same lattice shifted by
+    its (src_y, src_z) offset, copied as one strided slice.  Rows are ordered
+    (coil, y tap, z tap) and columns (i, j), both C order.
+    """
+    nc = grid.shape[0]
+    (y0, z0), (ny, nz), (sy, sz) = start, counts, step
+    src = np.empty((nc, src_y.size, src_z.size, ny, nz), dtype=np.complex128)
+    for a, oy in enumerate(src_y):
+        for b, oz in enumerate(src_z):
+            y, z = y0 + oy, z0 + oz
+            src[:, a, b] = grid[:, y:y + sy * (ny - 1) + 1:sy, z:z + sz * (nz - 1) + 1:sz]
+    return src.reshape(-1, ny * nz)
 
 
 def _fit_kernel(acs: np.ndarray, src_y, src_z, ridge: float) -> np.ndarray:
@@ -212,17 +240,9 @@ def _fit_kernel(acs: np.ndarray, src_y, src_z, ridge: float) -> np.ndarray:
     if ty_hi < ty_lo or tz_hi < tz_lo:
         raise ValueError("ACS block too small for the kernel geometry")
 
-    ty, tz = np.meshgrid(np.arange(ty_lo, ty_hi + 1), np.arange(tz_lo, tz_hi + 1), indexing="ij")
-    ty = ty.ravel()
-    tz = tz.ravel()
-    n_inst = ty.size
-
-    src = np.empty((n_inst, nc, src_y.size, src_z.size), dtype=np.complex128)
-    for a, oy in enumerate(src_y):
-        for b, oz in enumerate(src_z):
-            src[:, :, a, b] = acs[:, ty + oy, tz + oz].T
-    src = src.reshape(n_inst, -1)
-    targets = acs[:, ty, tz].T
+    counts = (ty_hi - ty_lo + 1, tz_hi - tz_lo + 1)
+    src = np.ascontiguousarray(_tap_matrix(acs, (ty_lo, tz_lo), counts, (1, 1), src_y, src_z).T)
+    targets = acs[:, ty_lo:ty_hi + 1, tz_lo:tz_hi + 1].reshape(nc, -1).T
 
     if ridge > 0:
         gram = src.conj().T @ src
@@ -234,31 +254,6 @@ def _fit_kernel(acs: np.ndarray, src_y, src_z, ridge: float) -> np.ndarray:
     return np.linalg.lstsq(src, targets, rcond=None)[0]
 
 
-def _apply_kernel(out, ksp, weights, src_y, src_z, y_lattice, z_lattice, mask) -> None:
-    """Write interpolated values at every position with offset (dy, dz)."""
-    nc, ky, kz = ksp.shape
-    ry, dy = y_lattice
-    rz, dz = z_lattice
-    pad_y = int(max(-src_y.min(), src_y.max(), 0))
-    pad_z = int(max(-src_z.min(), src_z.max(), 0))
-    padded = np.pad(ksp, ((0, 0), (pad_y, pad_y), (pad_z, pad_z)))
-
-    ty = np.arange((ky // 2 + dy) % ry, ky, ry)
-    tz = np.arange((kz // 2 + dz) % rz, kz, rz)
-    TY, TZ = np.meshgrid(ty, tz, indexing="ij")
-    TY = TY.ravel()
-    TZ = TZ.ravel()
-
-    src = np.empty((TY.size, nc, src_y.size, src_z.size), dtype=np.complex128)
-    for a, oy in enumerate(src_y):
-        for b, oz in enumerate(src_z):
-            src[:, :, a, b] = padded[:, TY + oy + pad_y, TZ + oz + pad_z].T
-    values = src.reshape(TY.size, -1) @ weights
-
-    keep = ~mask[TY, TZ]
-    out[:, TY[keep], TZ[keep]] = values[keep].T
-
-
 def reconstruct(
     plan: SamplingPlan,
     ksp_stack: MultiSpectralStack,
@@ -267,12 +262,15 @@ def reconstruct(
     apod_sigma_fraction: float = DEFAULT_APOD_SIGMA_FRACTION,
     kernel_taps: tuple[int, int] = DEFAULT_KERNEL_TAPS,
     ridge: float = DEFAULT_RIDGE,
+    reference: ReconOutput | None = None,
 ) -> ReconOutput:
     """Run one conventional method over a sampled k-space stack.
 
     REFERENCE applies the full scheme (PI + homodyne) to every bin; CR_VR
     keeps that for FULL_SCHEME bins and uses the apodized ACS image for
-    ACS_ONLY bins; CR_ZREPLACE zeroes the ACS_ONLY bins entirely.
+    ACS_ONLY bins; CR_ZREPLACE zeroes the ACS_ONLY bins entirely.  Given the
+    REFERENCE output of the same stack and options, the full-scheme bins are
+    copied from it instead of being reconstructed again.
     """
     if method not in CONVENTIONAL_METHODS:
         raise ValueError(f"reconstruct handles {CONVENTIONAL_METHODS}, got {method!r}")
@@ -288,11 +286,17 @@ def reconstruct(
     pf = partial_fourier_mask(ky, params.pf_overscan)
     geometry = KernelGeometry(params.accel[0], params.accel[1], *kernel_taps, ridge)
     out_rows, out_cols = out_shape if out_shape is not None else (ky, kz)
+    if reference is not None and reference.method != METHOD_REFERENCE:
+        raise ValueError(f"reference must be a {METHOD_REFERENCE} output, got {reference.method!r}")
+    if reference is not None and reference.images.shape != (plan.n_bins, out_rows, out_cols):
+        raise ValueError("reference shape disagrees with the plan and out_shape")
 
     combined = np.empty((plan.n_bins, out_rows, out_cols))
     for b in range(plan.n_bins):
         scheme = FULL_SCHEME if method == METHOD_REFERENCE else plan.schemes[b]
-        if scheme == FULL_SCHEME:
+        if scheme == FULL_SCHEME and reference is not None:
+            image = reference.images[b]
+        elif scheme == FULL_SCHEME:
             masked = np.where(full_mask, ksp_stack.data[b], 0)
             acs_data = crop_center_array(masked, params.acs[0], params.acs[1])
             filled = pi_interpolate(masked, acs_data, geometry, mask=full_mask)
@@ -320,4 +324,5 @@ def save_recon(output: ReconOutput, path) -> None:
 
 def load_recon(path) -> ReconOutput:
     metadata, images = read_stack_file(path)
-    return ReconOutput(np.maximum(images[:, 0], 0.0), metadata["method"], metadata.get("provenance", ""))
+    with header_fields(path):
+        return ReconOutput(np.maximum(images[:, 0], 0.0), metadata["method"], metadata.get("provenance", ""))

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from vrmsi.core import DOMAIN_KSPACE, read_stack_file, write_stack_file
+from vrmsi.core import DOMAIN_KSPACE, header_fields, read_stack_file, write_stack_file
 
 FULL_SCHEME = "FULL_SCHEME"
 ACS_ONLY = "ACS_ONLY"
@@ -56,6 +56,8 @@ class SamplingPlan:
         masks = np.array(self.masks, dtype=bool, order="C")
         if masks.ndim != 3 or masks.shape[0] != len(self.schemes):
             raise ValueError("one mask and one scheme label per bin")
+        if not set(self.schemes) <= {FULL_SCHEME, ACS_ONLY}:
+            raise ValueError(f"unknown scheme label in {self.schemes!r}")
         masks.setflags(write=False)
         object.__setattr__(self, "masks", masks)
 
@@ -178,5 +180,6 @@ def save_plan(plan: SamplingPlan, path) -> None:
 
 def load_plan(path) -> SamplingPlan:
     metadata, masks = read_stack_file(path)
-    params = {k: tuple(v) if isinstance(v, list) else v for k, v in metadata["params"].items()}
-    return SamplingPlan(masks[:, 0], tuple(metadata["schemes"]), AcquisitionParams(**params))
+    with header_fields(path):
+        params = {k: tuple(v) if isinstance(v, list) else v for k, v in metadata["params"].items()}
+        return SamplingPlan(masks[:, 0], tuple(metadata["schemes"]), AcquisitionParams(**params))

@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vrmsi import pipeline
+from vrmsi import pipeline, recon
 from vrmsi.cli import main
 from vrmsi.config import ConfigError, load_config
-from vrmsi.core import save_stack
+from vrmsi.core import load_stack, save_stack
 from vrmsi.metrics import EvalReport, read_report_csv, write_report_csv
 from vrmsi.pipeline import (
     MissingArtifactError,
@@ -24,6 +24,7 @@ from vrmsi.pipeline import (
     run_all,
 )
 from vrmsi.report import boxplot_svg, render_report
+from vrmsi.sampling import load_plan
 
 TINY_INI = """
 [experiment]
@@ -246,6 +247,33 @@ class TestStages:
         assert main(argv + ["--force"]) == 0
         assert {p: p.read_bytes() for p in kspace.rglob("*.msstack")} == bytes_a
 
+    def test_recon_reconstructs_each_bin_once(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, out_name="reuse")
+        cmd_phantom(cfg)
+        cmd_acquire(cfg)
+        calls = []
+        pi_interpolate = recon.pi_interpolate
+        monkeypatch.setattr(recon, "pi_interpolate", lambda *a, **kw: calls.append(1) or pi_interpolate(*a, **kw))
+        cmd_recon(cfg)
+        root = Path(cfg.out_dir)
+        kspace = sorted((root / "kspace").glob("s*/slice*.ksp.msstack"))
+        assert len(calls) == cfg.acquisition["n_bins"] * len(kspace) == 8 * 8
+
+        # The stage's artifacts are those of independent reconstruct calls.
+        plan = load_plan(root / "kspace" / "plan.msstack")
+        r = cfg.recon
+        expected = tmp_path / "expected.msstack"
+        for path in kspace:
+            ksp = load_stack(path)
+            for method in recon.CONVENTIONAL_METHODS:
+                output = recon.reconstruct(plan, ksp, method, out_shape=cfg.out_shape(),
+                                           apod_sigma_fraction=r["apod_sigma_fraction"],
+                                           kernel_taps=(r["kernel_ky"], r["kernel_kz"]), ridge=r["ridge"])
+                recon.save_recon(output, expected)
+                stem = path.name.removesuffix(".ksp.msstack")
+                actual = root / "recon" / path.parent.name / f"{stem}.{method}.msstack"
+                assert actual.read_bytes() == expected.read_bytes(), actual
+
     def test_deleted_artifact_is_rebuilt(self, tmp_path):
         cfg = tiny_config(tmp_path, out_name="holey")
         cmd_phantom(cfg)
@@ -422,12 +450,19 @@ class TestCli:
         run_all(cfg)
         root = Path(cfg.out_dir)
         # Same-size header edits, which the size-only cache check cannot see.
-        # Each refused rebuild empties its own stage, so the order matters:
-        # the checkpoint case runs before `train` loses models/.
+        # Each edit is undone after its case, but a refused rebuild empties
+        # its own stage, so the checkpoint case runs before `train` loses
+        # models/.
         cases = [
             ("infer", "models/model_vr.msmodel", '"shape": [6', '"shape": [5'),
             ("train", "recon/s000/slice00.CR_VR.msstack", '"rows": 32', '"rows": 31'),
+            ("train", "recon/s000/slice00.CR_VR.msstack", '"method": "CR_VR"', '"method": "CR_VX"'),
             ("recon", "kspace/plan.msstack", '"rows": 32', '"rows": 31'),
+            ("recon", "kspace/plan.msstack", '"etl": 16', '"etl": -1'),
+            ("recon", "kspace/plan.msstack", '"etl": 16', '"etx": 16'),
+            ("recon", "kspace/plan.msstack", '"ACS_ONLY"', '"ACS_ONLX"'),
+            ("recon", "kspace/s000/slice00.ksp.msstack", '"domain": "kspace"', '"domain": "kspaxe"'),
+            ("recon", "kspace/s000/slice00.ksp.msstack", "[-3.5, -2.5", "[-2.5, -3.5"),
         ]
         for command, rel, old, new in cases:
             path = root / rel
@@ -435,6 +470,7 @@ class TestCli:
             assert old.encode() in raw, rel
             path.write_bytes(raw.replace(old.encode(), new.encode(), 1))
             capsys.readouterr()
-            assert main([command, "--config", str(ini), "--force"]) == 4, rel
+            assert main([command, "--config", str(ini), "--force"]) == 4, (rel, new)
             err = capsys.readouterr().err
-            assert err.startswith("malformed artifact") and str(path) in err, rel
+            assert err.startswith("malformed artifact") and str(path) in err, (rel, new)
+            path.write_bytes(raw)

@@ -20,6 +20,7 @@ from vrmsi.recon import (
     rsos_coils,
     save_recon,
     zero_fill_recon,
+    _fit_kernel,
     _gaussian_window,
 )
 from vrmsi.sampling import (
@@ -262,6 +263,40 @@ class TestPiInterpolate:
         with pytest.raises(ValueError):
             pi_interpolate(ksp, ksp[:, :4, :4], KernelGeometry(2, 2, 5, 4), mask=mask)
 
+    @pytest.mark.parametrize("accel", [(2, 2), (2, 1), (1, 2), (3, 2)])
+    @pytest.mark.parametrize("matrix", [(24, 20), (25, 23)])
+    @pytest.mark.parametrize("taps", [(4, 3), (3, 2)])
+    def test_matches_per_target_oracle(self, accel, matrix, taps):
+        # every missing sample is the fitted kernel applied, one target at a
+        # time, to its zero-padded neighbours
+        (ry, rz), (ky, kz) = accel, matrix
+        nc = 3
+        rng = np.random.default_rng(100 * ry + 10 * rz + ky + taps[0])
+        mask = uniform_accel_mask(ky, kz, ry, rz, (14, 14)) & partial_fourier_mask(ky, 5)[:, None]
+        full = rng.standard_normal((nc, ky, kz)) + 1j * rng.standard_normal((nc, ky, kz))
+        ksp = np.where(mask, full, 0)
+        acs = crop_center_array(ksp, 14, 14)
+        geom = KernelGeometry(ry, rz, *taps, ridge=1e-3)
+        out = pi_interpolate(ksp, acs, geom, mask=mask)
+
+        taps_y = (np.arange(taps[0]) - (taps[0] - 1) // 2) * ry
+        taps_z = (np.arange(taps[1]) - (taps[1] - 1) // 2) * rz
+        expected = ksp.copy()
+        for y in range(ky):
+            for z in range(kz):
+                dy, dz = (y - ky // 2) % ry, (z - kz // 2) % rz
+                if mask[y, z] or (dy, dz) == (0, 0):
+                    continue
+                src_y, src_z = taps_y - dy, taps_z - dz
+                weights = _fit_kernel(acs, src_y, src_z, geom.ridge)
+                source = [
+                    ksp[c, y + oy, z + oz] if 0 <= y + oy < ky and 0 <= z + oz < kz else 0
+                    for c in range(nc) for oy in src_y for oz in src_z
+                ]
+                expected[:, y, z] = np.array(source) @ weights
+        assert np.array_equal(out[:, mask], ksp[:, mask])
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
 
 class TestReconstruct:
     def test_zreplace_even_bins_zero(self, desk_plan, kspace64):
@@ -309,6 +344,23 @@ class TestReconstruct:
         plan = build_vr_plan(params)
         with pytest.raises(ValueError):
             reconstruct(plan, kspace64, METHOD_CR_VR)
+
+    def test_reference_reuse_matches_recompute(self, desk_plan, kspace64):
+        ref = reconstruct(desk_plan, kspace64, METHOD_REFERENCE, out_shape=(80, 72))
+        for method in (METHOD_CR_VR, METHOD_CR_ZREPLACE):
+            reused = reconstruct(desk_plan, kspace64, method, out_shape=(80, 72), reference=ref)
+            fresh = reconstruct(desk_plan, kspace64, method, out_shape=(80, 72))
+            assert np.array_equal(reused.images, fresh.images)
+
+    def test_reference_must_match(self, desk_plan, kspace64):
+        vr = reconstruct(desk_plan, kspace64, METHOD_CR_VR)
+        with pytest.raises(ValueError, match="REFERENCE"):
+            reconstruct(desk_plan, kspace64, METHOD_CR_ZREPLACE, reference=vr)
+        ref = reconstruct(desk_plan, kspace64, METHOD_REFERENCE)
+        with pytest.raises(ValueError, match="shape"):
+            reconstruct(desk_plan, kspace64, METHOD_CR_VR, out_shape=(96, 96), reference=ref)
+        with pytest.raises(ValueError, match="shape"):
+            reconstruct(desk_plan, kspace64, METHOD_CR_VR, reference=ReconOutput(ref.images[1:], METHOD_REFERENCE))
 
     def test_unknown_method_rejected(self, desk_plan, kspace64):
         with pytest.raises(ValueError):
