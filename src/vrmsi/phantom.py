@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from vrmsi.core import DOMAIN_IMAGE, MultiSpectralStack, fft_stack, read_stack_file, write_stack_file
+from vrmsi.core import (DOMAIN_IMAGE, MultiSpectralStack, fft_stack, header_fields, read_stack_file,
+                        write_stack_file)
 
 _EDGE_SOFTNESS_PX = 1.5
 
@@ -197,8 +198,9 @@ def save_truth(truth: PhantomTruth, stack_path, sidecar_path, extra: dict) -> No
 
 def load_truth(stack_path, sidecar_path) -> PhantomTruth:
     channels = read_stack_file(stack_path)[1][:, 0].astype(np.complex128)
-    sidecar = json.loads(Path(sidecar_path).read_text())
-    segments = tuple((tuple(p0), tuple(p1)) for p0, p1 in sidecar["edge_segments"])
+    with header_fields(sidecar_path):
+        sidecar = json.loads(Path(sidecar_path).read_text())
+        segments = tuple((tuple(p0), tuple(p1)) for p0, p1 in sidecar["edge_segments"])
     return PhantomTruth(channels[0].real, channels[1].real, channels[2:], segments)
 
 

@@ -11,9 +11,10 @@ Re-running a stage is a no-op when its provenance matches and every listed
 artifact is present at its recorded size; otherwise, or with ``force``, it
 rebuilds.  A rebuild first checks each upstream stage and refuses, naming the
 ``vrmsi`` command to run, when one is missing, was built under another key or
-lost an artifact; only then does it remove its old provenance, the artifacts
-that lists and the directories they leave empty.  Stages are deterministic
-given config and seed.
+lost an artifact.  It then builds the stage aside in ``<stage>.tmp/`` and swaps
+that in whole, so a failed build leaves the last good stage as it was, and its
+``<stage>.tmp/`` until the next build.  Stages are deterministic given config
+and seed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import stat
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -99,20 +101,19 @@ class StageExistsError(RuntimeError):
 
 
 def _run_stage(cfg: ExperimentConfig, stage: str, upstream: list[str], force: bool, build) -> Path:
-    """Run ``build(root, stage_dir)`` unless the stage's cached artifacts are current.
+    """Run ``build(root, work_dir)`` unless the stage's cached artifacts are current.
 
     ``upstream`` names every stage whose artifacts ``build`` reads; each must
     have been built under this config's key for it, and before a build its
     listed artifacts must be intact.  A provenance file that lists no
-    artifacts vouches for nothing, so it is never a cache hit.
+    artifacts vouches for nothing, so it is never a cache hit.  ``work_dir``
+    is an empty ``<stage>.tmp/`` that replaces the stage once ``build`` returns.
     """
     root = Path(cfg.out_dir)
     stage_dir = root / stage
     inputs, upstream_artifacts = {}, {}
     for up in upstream:
-        prov = root / up / PROVENANCE
-        raw = prov.read_bytes() if prov.exists() else b"{}"
-        recorded = json.loads(raw)
+        raw, recorded = _read_provenance(root / up)
         if recorded.get("config_hash") != cfg.config_hash(_KEY_SECTION[up]):
             raise MissingArtifactError(
                 f"stage '{stage}' needs stage '{up}' built under this config: "
@@ -128,40 +129,43 @@ def _run_stage(cfg: ExperimentConfig, stage: str, upstream: list[str], force: bo
         "input_hashes": inputs,
     }
 
-    prov_path = stage_dir / PROVENANCE
-    recorded = json.loads(prov_path.read_text()) if prov_path.exists() else None
-    artifacts = recorded.pop("artifacts", {}) if recorded else {}
+    _, recorded = _read_provenance(stage_dir)
+    artifacts = recorded.pop("artifacts", {})
     if not force and recorded == provenance and artifacts and _intact(stage_dir, artifacts):
         return stage_dir
-    # Checked before anything is unlinked, so a refused build loses nothing.
     for up, listed in upstream_artifacts.items():
         if not (listed and _intact(root / up, listed)):
             raise MissingArtifactError(
                 f"stage '{stage}' needs stage '{up}', whose artifacts are missing or changed: "
                 f"run `vrmsi {_COMMAND[up]}` to rebuild it"
             )
-    if recorded is not None:
-        # A rebuild that fails halfway must not leave the old provenance
-        # vouching for a mix of old and new artifacts, and a rebuild under a
-        # new config must not leave the old config's artifacts behind.
-        prov_path.unlink()
-        for rel in artifacts:
-            (stage_dir / rel).unlink(missing_ok=True)
-        for path in sorted(stage_dir.rglob("*"), reverse=True):  # children before parents
-            if path.is_dir() and not any(path.iterdir()):
-                path.rmdir()
-    elif stage_dir.exists() and any(stage_dir.iterdir()) and not force:
+    foreign = not (stage_dir / PROVENANCE).exists() and stage_dir.exists() and any(stage_dir.iterdir())
+    if foreign and not force:
         raise StageExistsError(f"{stage_dir} is not empty; pass --force to overwrite")
-    stage_dir.mkdir(parents=True, exist_ok=True)
 
-    build(root, stage_dir)
+    work_dir = root / f"{stage}.tmp"
+    shutil.rmtree(work_dir, ignore_errors=True)
+    work_dir.mkdir(parents=True)
+    build(root, work_dir)
     provenance["artifacts"] = {
-        path.relative_to(stage_dir).as_posix(): path.stat().st_size
-        for path in stage_dir.rglob("*")
+        path.relative_to(work_dir).as_posix(): path.stat().st_size
+        for path in work_dir.rglob("*")
         if path.is_file()
     }
-    prov_path.write_text(json.dumps(provenance, indent=2, sort_keys=True) + "\n")
+    (work_dir / PROVENANCE).write_text(json.dumps(provenance, indent=2, sort_keys=True) + "\n")
+    if stage_dir.exists():
+        shutil.rmtree(stage_dir)
+    work_dir.rename(stage_dir)
     return stage_dir
+
+
+def _read_provenance(stage_dir: Path) -> tuple[bytes, dict]:
+    """A stage's provenance bytes and record; a missing or unparseable file reads as ``{}``."""
+    try:
+        raw = (stage_dir / PROVENANCE).read_bytes()
+        return raw, json.loads(raw)
+    except (FileNotFoundError, ValueError):
+        return b"{}", {}
 
 
 def _intact(stage_dir: Path, artifacts: dict[str, int]) -> bool:
@@ -183,9 +187,9 @@ def _parallel(jobs: int, fn, items):
         return list(pool.map(fn, items))
 
 
-def _slice_path(root: Path, stage: str, sid: str, slice_idx: int, kind: str) -> Path:
-    """Where one slice's artifact of the given kind lives; creates nothing."""
-    return root / stage / sid / f"slice{slice_idx:02d}.{kind}"
+def _slice_path(stage_dir: Path, sid: str, slice_idx: int, kind: str) -> Path:
+    """Where one slice's artifact of the given kind lives in a stage directory; creates nothing."""
+    return stage_dir / sid / f"slice{slice_idx:02d}.{kind}"
 
 
 def _iter_slices(cfg: ExperimentConfig, roles=("train", "val", "test")):
@@ -202,13 +206,9 @@ def _iter_slices(cfg: ExperimentConfig, roles=("train", "val", "test")):
 
 def _load_truth(root: Path, sid: str, slice_idx: int):
     return load_truth(
-        _slice_path(root, STAGE_DATASET, sid, slice_idx, "truth.msstack"),
-        _slice_path(root, STAGE_DATASET, sid, slice_idx, "meta.json"),
+        _slice_path(root / STAGE_DATASET, sid, slice_idx, "truth.msstack"),
+        _slice_path(root / STAGE_DATASET, sid, slice_idx, "meta.json"),
     )
-
-
-def _load_plan(root: Path):
-    return load_plan(root / STAGE_KSPACE / PLAN)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +228,9 @@ def cmd_phantom(cfg: ExperimentConfig, force: bool = False) -> Path:
                 )
             spec = cohort_spec(cfg.phantom, family, [cfg.seed, subject_idx, slice_idx])
             truth = generate_phantom(spec, seed=cfg.seed + 7919 * subject_idx + slice_idx)
-            stack_path = _slice_path(root, STAGE_DATASET, sid, slice_idx, "truth.msstack")
-            stack_path.parent.mkdir(exist_ok=True)
-            save_truth(truth, stack_path, _slice_path(root, STAGE_DATASET, sid, slice_idx, "meta.json"),
+            (stage_dir / sid).mkdir(exist_ok=True)
+            save_truth(truth, _slice_path(stage_dir, sid, slice_idx, "truth.msstack"),
+                       _slice_path(stage_dir, sid, slice_idx, "meta.json"),
                        {"subject": sid, "slice": slice_idx, "family": family, "role": role})
         (stage_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -249,46 +249,41 @@ def cmd_acquire(cfg: ExperimentConfig, force: bool = False) -> Path:
             truth = _load_truth(root, sid, slice_idx)
             stack = simulate_bins(truth, centers, fwhm)
             ksp = to_kspace(stack, noise, seed=cfg.seed + 104729 * subject_idx + 13 * slice_idx)
-            return sid, slice_idx, ksp
+            (stage_dir / sid).mkdir(exist_ok=True)
+            save_stack(ksp, _slice_path(stage_dir, sid, slice_idx, "ksp.msstack"))
 
-        for sid, slice_idx, ksp in _parallel(cfg.jobs, acquire_one, list(_iter_slices(cfg))):
-            path = _slice_path(root, STAGE_KSPACE, sid, slice_idx, "ksp.msstack")
-            path.parent.mkdir(exist_ok=True)
-            save_stack(ksp, path)
+        _parallel(cfg.jobs, acquire_one, list(_iter_slices(cfg)))
 
     return _run_stage(cfg, STAGE_KSPACE, [STAGE_DATASET], force, build)
 
 
 def cmd_recon(cfg: ExperimentConfig, force: bool = False) -> Path:
     def build(root, stage_dir):
-        plan = _load_plan(root)
+        plan = load_plan(root / STAGE_KSPACE / PLAN)
         out_shape = cfg.out_shape()
         r = cfg.recon
 
         def recon_one(task):
             _, sid, _, slice_idx = task
-            ksp = load_stack(_slice_path(root, STAGE_KSPACE, sid, slice_idx, "ksp.msstack"))
+            ksp = load_stack(_slice_path(root / STAGE_KSPACE, sid, slice_idx, "ksp.msstack"))
             options = dict(out_shape=out_shape, apod_sigma_fraction=r["apod_sigma_fraction"],
                            kernel_taps=(r["kernel_ky"], r["kernel_kz"]), ridge=r["ridge"])
             # The CR methods copy REFERENCE's full-scheme bins: one PI per bin.
             reference = reconstruct(plan, ksp, METHOD_REFERENCE, **options)
-            outputs = {METHOD_REFERENCE: reference}
+            (stage_dir / sid).mkdir(exist_ok=True)
+            save_recon(reference, _slice_path(stage_dir, sid, slice_idx, f"{METHOD_REFERENCE}.msstack"))
             for method in (METHOD_CR_VR, METHOD_CR_ZREPLACE):
-                outputs[method] = reconstruct(plan, ksp, method, reference=reference, **options)
-            return sid, slice_idx, outputs
+                output = reconstruct(plan, ksp, method, reference=reference, **options)
+                save_recon(output, _slice_path(stage_dir, sid, slice_idx, f"{method}.msstack"))
 
-        for sid, slice_idx, outputs in _parallel(cfg.jobs, recon_one, list(_iter_slices(cfg))):
-            for method, output in outputs.items():
-                path = _slice_path(root, STAGE_RECON, sid, slice_idx, f"{method}.msstack")
-                path.parent.mkdir(exist_ok=True)
-                save_recon(output, path)
+        _parallel(cfg.jobs, recon_one, list(_iter_slices(cfg)))
 
     return _run_stage(cfg, STAGE_RECON, [STAGE_KSPACE], force, build)
 
 
 def _load_method(root: Path, sid: str, slice_idx: int, method: str):
     stage = STAGE_INFERRED if method in (METHOD_DL_VR, METHOD_DL_ZREPLACE) else STAGE_RECON
-    return load_recon(_slice_path(root, stage, sid, slice_idx, f"{method}.msstack"))
+    return load_recon(_slice_path(root / stage, sid, slice_idx, f"{method}.msstack"))
 
 
 def cmd_train(cfg: ExperimentConfig, force: bool = False) -> Path:
@@ -308,7 +303,7 @@ def cmd_train(cfg: ExperimentConfig, force: bool = False) -> Path:
         )
 
         # Both models learn the same REFERENCE ACS bins, so they are read once.
-        acs_bins = _load_plan(root).bins_with_scheme(ACS_ONLY)
+        acs_bins = load_plan(root / STAGE_KSPACE / PLAN).bins_with_scheme(ACS_ONLY)
         targets = {
             role: [
                 (sid, slice_idx, _load_method(root, sid, slice_idx, METHOD_REFERENCE).images[acs_bins])
@@ -345,7 +340,7 @@ def cmd_train(cfg: ExperimentConfig, force: bool = False) -> Path:
 
 def cmd_infer(cfg: ExperimentConfig, force: bool = False) -> Path:
     def build(root, stage_dir):
-        plan = _load_plan(root)
+        plan = load_plan(root / STAGE_KSPACE / PLAN)
         model_vr, _ = load_model(root / STAGE_MODELS / "model_vr.msmodel")
         model_zr, _ = load_model(root / STAGE_MODELS / "model_zr.msmodel")
 
@@ -353,29 +348,20 @@ def cmd_infer(cfg: ExperimentConfig, force: bool = False) -> Path:
             _, sid, _, slice_idx = task
             cr_vr = _load_method(root, sid, slice_idx, METHOD_CR_VR)
             cr_zr = _load_method(root, sid, slice_idx, METHOD_CR_ZREPLACE)
-            return (
-                sid,
-                slice_idx,
-                {
-                    METHOD_DL_VR: infer_full_stack(model_vr, cr_vr, plan),
-                    METHOD_DL_ZREPLACE: infer_zreplace(model_zr, cr_zr, plan),
-                },
-            )
+            (stage_dir / sid).mkdir(exist_ok=True)
+            save_recon(infer_full_stack(model_vr, cr_vr, plan),
+                       _slice_path(stage_dir, sid, slice_idx, f"{METHOD_DL_VR}.msstack"))
+            save_recon(infer_zreplace(model_zr, cr_zr, plan),
+                       _slice_path(stage_dir, sid, slice_idx, f"{METHOD_DL_ZREPLACE}.msstack"))
 
-        tasks = list(_iter_slices(cfg, roles=("test",)))
-        for sid, slice_idx, outputs in _parallel(cfg.jobs, infer_one, tasks):
-            for method, output in outputs.items():
-                path = _slice_path(root, STAGE_INFERRED, sid, slice_idx, f"{method}.msstack")
-                path.parent.mkdir(exist_ok=True)
-                save_recon(output, path)
+        _parallel(cfg.jobs, infer_one, list(_iter_slices(cfg, roles=("test",))))
 
     return _run_stage(cfg, STAGE_INFERRED, [STAGE_KSPACE, STAGE_RECON, STAGE_MODELS], force, build)
 
 
 def cmd_eval(cfg: ExperimentConfig, force: bool = False) -> Path:
     def build(root, stage_dir):
-        plan = _load_plan(root)
-        acs_bins = plan.bins_with_scheme(ACS_ONLY)
+        acs_bins = load_plan(root / STAGE_KSPACE / PLAN).bins_with_scheme(ACS_ONLY)
         out_shape = cfg.out_shape()
         scale_r = out_shape[0] / cfg.phantom["rows"]
         scale_c = out_shape[1] / cfg.phantom["cols"]
@@ -422,9 +408,7 @@ def cmd_eval(cfg: ExperimentConfig, force: bool = False) -> Path:
         write_edge_csv(report, stage_dir / "edges.csv")
         write_report_json(report, stage_dir / "summary.json")
 
-    return _run_stage(
-        cfg, STAGE_EVAL, [STAGE_DATASET, STAGE_KSPACE, STAGE_RECON, STAGE_INFERRED], force, build
-    )
+    return _run_stage(cfg, STAGE_EVAL, [STAGE_DATASET, STAGE_KSPACE, STAGE_RECON, STAGE_INFERRED], force, build)
 
 
 def run_all(cfg: ExperimentConfig, force: bool = False) -> Path:

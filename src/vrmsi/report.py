@@ -116,7 +116,11 @@ def render_report(eval_dir, report_dir) -> Path:
     summary = json.loads(summary_path.read_text()) if summary_path.exists() else {}
 
     methods = report.methods()
-    for metric, label in (("ssim", "SSIM"), ("psnr_db", "PSNR (dB)"), ("resi", "Edge sharpness (RESI)")):
+    for metric, title in (
+        ("ssim", "SSIM vs reference"),
+        ("psnr_db", "PSNR (dB) vs reference"),
+        ("resi", "Edge sharpness (RESI) vs CR_VR, per-slice median"),
+    ):
         samples = {}
         for method in methods:
             vals = np.asarray(
@@ -125,7 +129,7 @@ def render_report(eval_dir, report_dir) -> Path:
             vals = vals[np.isfinite(vals)]
             if vals.size:
                 samples[method] = vals
-        svg = boxplot_svg(samples, f"{label} vs reference")
+        svg = boxplot_svg(samples, title)
         (report_dir / f"{metric}_box.svg").write_text(svg)
 
     lines = ["# Evaluation summary", ""]

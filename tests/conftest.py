@@ -13,13 +13,17 @@ DESK_FWHM = 2.25
 def pytest_collection_modifyitems(items):
     """Run the acceptance module last, and its desk-run criteria after its
     other tests.  The desk-scale fixture trains two U-Nets for minutes while
-    every other test takes seconds, so a time-boxed run reports those first."""
+    every other test takes seconds, so a time-boxed run reports those first,
+    and ``-m "not desk"`` leaves the desk-run criteria out."""
 
     def rank(item):
         if not item.nodeid.startswith("tests/test_acceptance.py"):
             return 0
         return 2 if "desk_run" in item.fixturenames else 1
 
+    for item in items:
+        if "desk_run" in item.fixturenames:
+            item.add_marker(pytest.mark.desk)
     items.sort(key=rank)
 
 

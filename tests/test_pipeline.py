@@ -223,9 +223,16 @@ class TestStages:
         cfg_b = tiny_config(tmp_path, out_name="flaky", **{"acquisition.fwhm_khz": 1.5})
         cmd_phantom(cfg_a)
         cmd_acquire(cfg_a)
-        kspace = Path(cfg_a.out_dir) / "kspace"
-        bytes_a = {p: p.read_bytes() for p in kspace.rglob("*.msstack")}
+        root = Path(cfg_a.out_dir)
 
+        def snapshot():
+            return {
+                p: (p.read_bytes(), p.stat().st_size, p.stat().st_mtime_ns)
+                for p in (root / "kspace").rglob("*")
+                if p.is_file()
+            }
+
+        kspace_a = snapshot()
         calls = []
 
         def fail_after_three(stack, path):
@@ -236,16 +243,18 @@ class TestStages:
 
         with monkeypatch.context() as patch:
             patch.setattr(pipeline, "save_stack", fail_after_three)
-            with pytest.raises(OSError):
+            with pytest.raises(OSError, match="disk full"):
                 cmd_acquire(cfg_b)
-        assert calls and all(p.read_bytes() != bytes_a[p] for p in calls)
+        assert len(calls) == 3
+        assert snapshot() == kspace_a
+        assert (root / "kspace.tmp").is_dir()
 
-        argv = ["acquire", "--config", str(tmp_path / "exp.ini")]
-        with pytest.raises(StageExistsError):
-            cmd_acquire(cfg_a)
-        assert main(argv) == 2
-        assert main(argv + ["--force"]) == 0
-        assert {p: p.read_bytes() for p in kspace.rglob("*.msstack")} == bytes_a
+        cmd_acquire(cfg_a)
+        assert snapshot() == kspace_a
+        cmd_acquire(cfg_b)
+        assert not (root / "kspace.tmp").exists()
+        provenance = json.loads((root / "kspace" / "provenance.json").read_text())
+        assert provenance["config_hash"] == cfg_b.config_hash("acquisition")
 
     def test_recon_reconstructs_each_bin_once(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path, out_name="reuse")
@@ -346,6 +355,40 @@ class TestStages:
         assert "vrmsi recon" in capsys.readouterr().err
         assert models and snapshot() == models
 
+    def test_malformed_upstream_keeps_its_artifacts(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, out_name="edited")
+        run_all(cfg)
+        root = Path(cfg.out_dir)
+
+        def snapshot():
+            return {p: (p.stat().st_size, p.stat().st_mtime_ns) for p in (root / "models").rglob("*")}
+
+        models = snapshot()
+        victim = root / "recon" / "s000" / "slice00.CR_VR.msstack"
+        raw = victim.read_bytes()
+        # A same-size edit passes the upstream size check; the build's read refuses it.
+        victim.write_bytes(raw.replace(b'"rows": 32', b'"rows": 31', 1))
+        argv = ["train", "--config", str(tmp_path / "exp.ini")]
+        capsys.readouterr()
+        assert main(argv + ["--force"]) == 4
+        assert str(victim) in capsys.readouterr().err
+        assert models and snapshot() == models
+        victim.write_bytes(raw)
+        assert main(argv) == 0
+        assert snapshot() == models
+
+    def test_leftover_work_dir_is_removed(self, tmp_path):
+        cfg = tiny_config(tmp_path, out_name="leftover")
+        root = Path(cfg.out_dir)
+        stray = root / "recon.tmp" / "s000" / "stray.msstack"
+        stray.parent.mkdir(parents=True)
+        stray.write_text("left by a failed build")
+        run_all(cfg)
+        assert not list(root.glob("*.tmp"))
+        assert not (root / "recon" / "s000" / "stray.msstack").exists()
+        for provenance in root.glob("*/provenance.json"):
+            assert not [rel for rel in json.loads(provenance.read_text())["artifacts"] if "stray" in rel]
+
     def test_stale_upstream_names_its_command(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
         old = TINY_INI.format(out=tmp_path / "renoised")
@@ -378,11 +421,17 @@ class TestStages:
 class TestReport:
     def test_svgs_well_formed(self, pipeline_run, tmp_path):
         out = render_report(Path(pipeline_run.out_dir) / "eval", tmp_path / "report")
-        for metric in ("ssim", "psnr_db", "resi"):
+        titles = {
+            "ssim": "SSIM vs reference",
+            "psnr_db": "PSNR (dB) vs reference",
+            "resi": "Edge sharpness (RESI) vs CR_VR, per-slice median",
+        }
+        for metric, title in titles.items():
             svg_path = out / f"{metric}_box.svg"
             assert svg_path.exists()
             tree = ET.parse(svg_path)
             assert tree.getroot().tag.endswith("svg")
+            assert tree.getroot().find("{http://www.w3.org/2000/svg}text").text == title
         assert (out / "summary.md").exists()
 
     def test_box_count_matches_methods(self, pipeline_run, tmp_path):
@@ -444,15 +493,28 @@ class TestCli:
         assert main(["phantom", "--config", str(ini), "--out", str(other)]) == 0
         assert (other / "dataset" / "manifest.json").exists()
 
+    def test_truncated_provenance_exit_code(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        cfg = tiny_config(tmp_path, out_name="truncated")
+        cmd_phantom(cfg)
+        cmd_acquire(cfg)
+        provenance = Path(cfg.out_dir) / "dataset" / "provenance.json"
+        raw = provenance.read_bytes()
+        provenance.write_bytes(raw[: len(raw) // 2])
+        capsys.readouterr()
+        assert main(["acquire", "--config", str(ini)]) == 3
+        assert "vrmsi phantom" in capsys.readouterr().err
+        assert main(["phantom", "--config", str(ini)]) == 0
+        assert provenance.read_bytes() == raw
+        assert main(["acquire", "--config", str(ini)]) == 0
+
     def test_malformed_artifact_exit_code(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
         cfg = tiny_config(tmp_path, out_name="malformed")
         run_all(cfg)
         root = Path(cfg.out_dir)
         # Same-size header edits, which the size-only cache check cannot see.
-        # Each edit is undone after its case, but a refused rebuild empties
-        # its own stage, so the checkpoint case runs before `train` loses
-        # models/.
+        # Each edit is undone after its case.
         cases = [
             ("infer", "models/model_vr.msmodel", '"shape": [6', '"shape": [5'),
             ("train", "recon/s000/slice00.CR_VR.msstack", '"rows": 32', '"rows": 31'),
@@ -463,6 +525,7 @@ class TestCli:
             ("recon", "kspace/plan.msstack", '"ACS_ONLY"', '"ACS_ONLX"'),
             ("recon", "kspace/s000/slice00.ksp.msstack", '"domain": "kspace"', '"domain": "kspaxe"'),
             ("recon", "kspace/s000/slice00.ksp.msstack", "[-3.5, -2.5", "[-2.5, -3.5"),
+            ("acquire", "dataset/s000/slice00.meta.json", '"edge_segments"', '"edge_segmentz"'),
         ]
         for command, rel, old, new in cases:
             path = root / rel
