@@ -12,7 +12,13 @@ import configparser
 import hashlib
 from dataclasses import dataclass
 
-from vrmsi.recon import DEFAULT_APOD_SIGMA_FRACTION, DEFAULT_KERNEL_TAPS, DEFAULT_RIDGE
+from vrmsi.recon import (
+    DEFAULT_APOD_SIGMA_FRACTION,
+    DEFAULT_KERNEL_TAPS,
+    DEFAULT_RIDGE,
+    KernelGeometry,
+    check_acs_fits,
+)
 from vrmsi.sampling import AcquisitionParams
 
 
@@ -203,6 +209,12 @@ def _validate(cfg: ExperimentConfig, path) -> None:
             "for the network"
         )
     try:
-        cfg.acquisition_params()
+        params = cfg.acquisition_params()
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    taps = (cfg.recon["kernel_ky"], cfg.recon["kernel_kz"])
+    try:
+        check_acs_fits(params.acs, KernelGeometry(*params.accel, *taps))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: [recon] kernel_ky/kernel_kz = {taps[0]}/{taps[1]} "
+                          f"at R={params.accel[0]}x{params.accel[1]}: {exc}") from exc

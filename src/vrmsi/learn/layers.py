@@ -1,8 +1,10 @@
-"""Minimal reverse-mode layers on (batch, channel, height, width) arrays.
+"""Minimal reverse-mode convolution on (batch, channel, height, width) arrays.
 
-Each layer caches what its backward pass needs during forward; backward
-returns the input gradient and, for convolutions, leaves parameter gradients
-in ``dw``/``db``.  Everything runs in float64.
+``Conv2d.forward`` caches its im2col buffer and, when the layer applies a
+ReLU, the mask of positive pre-activations; ``backward`` masks the output
+gradient, returns the input gradient and leaves parameter gradients in
+``dw``/``db``.  Upsampling has no state: ``upsample2`` and its adjoint
+``upsample2_adjoint`` are plain functions.  Everything runs in float64.
 
 Convolutions lower to a single GEMM per pass over an im2col buffer; the
 buffer layout is offset-major (kernel offset blocks of ``in_channels`` rows),
@@ -15,24 +17,24 @@ import numpy as np
 
 
 class Conv2d:
-    """3x3 (or any odd k) convolution with same padding; stride 2 downsamples."""
+    """3x3 (or any odd k) same-padded convolution, then a ReLU unless ``relu=False``; stride 2 downsamples."""
 
-    def __init__(self, in_channels, out_channels, kernel_size=3, stride=1, rng=None, name=""):
+    def __init__(self, in_channels, out_channels, kernel_size=3, stride=1, *, rng, relu=True, name=""):
         if kernel_size % 2 != 1:
             raise ValueError("kernel size must be odd")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
+        self.relu = relu
         self.name = name
-        if rng is None:
-            rng = np.random.default_rng(0)
         scale = np.sqrt(2.0 / (in_channels * kernel_size * kernel_size))
         self.w = rng.standard_normal((out_channels, in_channels, kernel_size, kernel_size)) * scale
         self.b = np.zeros(out_channels)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
         self._cols = None
+        self._mask = None
         self._shapes = None
 
     def _w_matrix(self) -> np.ndarray:
@@ -59,6 +61,9 @@ class Conv2d:
         out += self.b[None, :, None, None]
         self._cols = cols
         self._shapes = (h, w, ho, wo)
+        if self.relu:
+            self._mask = out > 0
+            out = np.where(self._mask, out, 0.0)
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -66,6 +71,8 @@ class Conv2d:
         h, w, ho, wo = self._shapes
         cols = self._cols
         batch, cin = cols.shape[0], self.in_channels
+        if self.relu:
+            dy = np.where(self._mask, dy, 0.0)
         dy_flat = np.ascontiguousarray(dy.reshape(batch, self.out_channels, -1))
 
         self.db = dy_flat.sum(axis=(0, 2))
@@ -82,36 +89,12 @@ class Conv2d:
         return dxp[:, :, p:p + h, p:p + w]
 
 
-class ReLU:
-    def __init__(self):
-        self._mask = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, dy, 0.0)
+def upsample2(x: np.ndarray) -> np.ndarray:
+    """Nearest-neighbor ×2 upsampling of the last two axes."""
+    return x.repeat(2, axis=2).repeat(2, axis=3)
 
 
-class NearestUpsample:
-    """Integer-factor nearest-neighbor upsampling."""
-
-    def __init__(self, factor=2):
-        self.factor = factor
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x.repeat(self.factor, axis=2).repeat(self.factor, axis=3)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        b, c, h, w = dy.shape
-        f = self.factor
-        return dy.reshape(b, c, h // f, f, w // f, f).sum(axis=(3, 5))
-
-
-def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.concatenate([a, b], axis=1)
-
-
-def split_channels(d: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
-    return d[:, :first], d[:, first:]
+def upsample2_adjoint(dy: np.ndarray) -> np.ndarray:
+    """Adjoint of ``upsample2``: each output pixel sums its 2×2 block."""
+    b, c, h, w = dy.shape
+    return dy.reshape(b, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))

@@ -3,7 +3,8 @@
 The encoder applies one convolution per level with stride-2 convolutions
 between levels; the decoder mirrors it with nearest-neighbor upsampling plus
 convolution, concatenating the matching encoder activation at every level.
-A final linear convolution maps back to the output channel count.
+Every convolution applies its own ReLU except the final one, which maps
+linearly back to the output channel count.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vrmsi.learn.layers import Conv2d, NearestUpsample, ReLU, concat_channels, split_channels
+from vrmsi.learn.layers import Conv2d, upsample2, upsample2_adjoint
 
 
 @dataclass(frozen=True)
@@ -66,40 +67,24 @@ class UNet:
         levels = config.n_levels
 
         self.enc_convs = []
-        self.enc_relus = []
         self.down_convs = []
-        self.down_relus = []
         for lvl in range(levels):
             cin = config.in_channels if lvl == 0 else ch[lvl]
             self.enc_convs.append(Conv2d(cin, ch[lvl], k, rng=rng, name=f"enc{lvl}"))
-            self.enc_relus.append(ReLU())
             if lvl < levels - 1:
                 self.down_convs.append(Conv2d(ch[lvl], ch[lvl + 1], k, stride=2, rng=rng, name=f"down{lvl}"))
-                self.down_relus.append(ReLU())
 
-        self.upsamples = []
         self.up_convs = []
-        self.up_relus = []
         self.dec_convs = []
-        self.dec_relus = []
         for lvl in range(levels - 1):
-            self.upsamples.append(NearestUpsample(2))
             self.up_convs.append(Conv2d(ch[lvl + 1], ch[lvl], k, rng=rng, name=f"up{lvl}"))
-            self.up_relus.append(ReLU())
             self.dec_convs.append(Conv2d(2 * ch[lvl], ch[lvl], k, rng=rng, name=f"dec{lvl}"))
-            self.dec_relus.append(ReLU())
 
-        self.head = Conv2d(ch[0], config.out_channels, k, rng=rng, name="head")
+        self.head = Conv2d(ch[0], config.out_channels, k, rng=rng, relu=False, name="head")
 
     def conv_layers(self) -> list[Conv2d]:
         """All parameterized layers in a fixed, documented order."""
-        return (
-            list(self.enc_convs)
-            + list(self.down_convs)
-            + list(self.up_convs)
-            + list(self.dec_convs)
-            + [self.head]
-        )
+        return self.enc_convs + self.down_convs + self.up_convs + self.dec_convs + [self.head]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         cfg = self.config
@@ -113,14 +98,13 @@ class UNet:
         skips = []
         h = x
         for lvl in range(levels):
-            h = self.enc_relus[lvl].forward(self.enc_convs[lvl].forward(h))
+            h = self.enc_convs[lvl].forward(h)
             if lvl < levels - 1:
                 skips.append(h)
-                h = self.down_relus[lvl].forward(self.down_convs[lvl].forward(h))
+                h = self.down_convs[lvl].forward(h)
         for lvl in reversed(range(levels - 1)):
-            h = self.up_relus[lvl].forward(self.up_convs[lvl].forward(self.upsamples[lvl].forward(h)))
-            h = concat_channels(skips[lvl], h)
-            h = self.dec_relus[lvl].forward(self.dec_convs[lvl].forward(h))
+            h = self.up_convs[lvl].forward(upsample2(h))
+            h = self.dec_convs[lvl].forward(np.concatenate([skips[lvl], h], axis=1))
         return self.head.forward(h)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -129,47 +113,32 @@ class UNet:
         d = self.head.backward(dy)
         skip_grads = [None] * (levels - 1)
         for lvl in range(levels - 1):
-            d = self.dec_convs[lvl].backward(self.dec_relus[lvl].backward(d))
-            d_skip, d_up = split_channels(d, cfg.channels[lvl])
-            skip_grads[lvl] = d_skip
-            d = self.upsamples[lvl].backward(
-                self.up_convs[lvl].backward(self.up_relus[lvl].backward(d_up))
-            )
+            d = self.dec_convs[lvl].backward(d)
+            skip_grads[lvl] = d[:, :cfg.channels[lvl]]
+            d = upsample2_adjoint(self.up_convs[lvl].backward(d[:, cfg.channels[lvl]:]))
         for lvl in reversed(range(levels)):
             if lvl < levels - 1:
-                d = self.down_convs[lvl].backward(self.down_relus[lvl].backward(d))
+                d = self.down_convs[lvl].backward(d)
                 d = d + skip_grads[lvl]
-            d = self.enc_convs[lvl].backward(self.enc_relus[lvl].backward(d))
+            d = self.enc_convs[lvl].backward(d)
         return d
 
     def gradients(self) -> list[np.ndarray]:
-        grads = []
-        for layer in self.conv_layers():
-            grads.append(layer.dw)
-            grads.append(layer.db)
-        return grads
+        return [g for layer in self.conv_layers() for g in (layer.dw, layer.db)]
 
     def parameters(self) -> list[np.ndarray]:
-        params = []
-        for layer in self.conv_layers():
-            params.append(layer.w)
-            params.append(layer.b)
-        return params
+        return [p for layer in self.conv_layers() for p in (layer.w, layer.b)]
 
     def parameter_names(self) -> list[str]:
-        names = []
-        for layer in self.conv_layers():
-            names.append(f"{layer.name}/w")
-            names.append(f"{layer.name}/b")
-        return names
+        return [f"{layer.name}/{p}" for layer in self.conv_layers() for p in ("w", "b")]
 
     def set_parameters(self, arrays: list[np.ndarray]) -> None:
-        layers = self.conv_layers()
-        if len(arrays) != 2 * len(layers):
-            raise ValueError("parameter count mismatch")
-        for i, layer in enumerate(layers):
-            layer.w = np.array(arrays[2 * i], dtype=np.float64).reshape(layer.w.shape)
-            layer.b = np.array(arrays[2 * i + 1], dtype=np.float64).reshape(layer.b.shape)
+        """Copy in one array per ``parameters()`` entry, each of exactly its shape."""
+        if [np.shape(a) for a in arrays] != [p.shape for p in self.parameters()]:
+            raise ValueError("parameter shapes do not match the model")
+        for layer, w, b in zip(self.conv_layers(), arrays[0::2], arrays[1::2]):
+            layer.w = np.array(w, dtype=np.float64)
+            layer.b = np.array(b, dtype=np.float64)
 
 
 def loss_and_gradients(model: UNet, inputs: np.ndarray, targets: np.ndarray):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,9 +39,6 @@ class TrainConfig:
     learning_rate: float = 2e-4
     epochs: int = 50
     batch_size: int = 4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -68,10 +65,11 @@ def denormalize(xn: np.ndarray, stats: NormStats) -> np.ndarray:
 class Adam:
     """Standard Adam with bias correction; holds first/second moments."""
 
-    def __init__(self, params: list[np.ndarray], beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: list[np.ndarray]):
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -80,7 +78,7 @@ class Adam:
         if len(params) != len(self.m) or len(grads) != len(self.m):
             raise ValueError("parameter/gradient count mismatch")
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
         for p, g, m, v in zip(params, grads, self.m, self.v):
@@ -90,7 +88,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
 
 
 def _normalize_pairs(dataset) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -127,7 +125,7 @@ def train(train_set, val_set, model: UNet, config: TrainConfig):
     train_pairs = _normalize_pairs(train_set)
     val_pairs = _normalize_pairs(val_set)
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam(model.parameters(), config.beta1, config.beta2, config.eps)
+    optimizer = Adam(model.parameters())
 
     history = []
     n = len(train_pairs)
@@ -200,12 +198,7 @@ def save_model(model: UNet, path, optimizer: Adam | None = None, config: TrainCo
         "tensors": [{"name": n, "shape": list(a.shape)} for n, a in zip(tensor_names, arrays)],
         "step_count": optimizer.step_count if optimizer is not None else 0,
         "norm_schema": NORM_SCHEMA_VERSION,
-        "train_config": {
-            "learning_rate": config.learning_rate,
-            "epochs": config.epochs,
-            "batch_size": config.batch_size,
-            "seed": config.seed,
-        } if config is not None else None,
+        "train_config": asdict(config) if config is not None else None,
         "provenance": provenance,
     }
     payload = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
@@ -218,11 +211,14 @@ def load_model(path) -> tuple[UNet, dict]:
     if metadata.get("norm_schema") != NORM_SCHEMA_VERSION:
         raise BadVersionError(f"{path}: unsupported normalization schema")
     with header_fields(path):
-        config = ModelConfig.from_dict(metadata["model_config"])
+        model = UNet(ModelConfig.from_dict(metadata["model_config"]), seed=0)
+        names = [entry["name"] for entry in metadata["tensors"]]
         shapes = [tuple(map(operator.index, entry["shape"])) for entry in metadata["tensors"]]
-    model = UNet(config, seed=0)
+        n = len(model.parameters())
+        if names[:n] != model.parameter_names() or shapes[:n] != [p.shape for p in model.parameters()]:
+            raise ValueError("recorded tensors do not match the model config")
     arrays = payload_arrays(path, payload, "<f8", shapes)
-    model.set_parameters(arrays[:len(model.parameter_names())])
+    model.set_parameters(arrays[:n])
     return model, metadata
 
 

@@ -116,17 +116,18 @@ def _gaussian_window(n: int, sigma: float) -> np.ndarray:
 
 def rsos_coils(images: np.ndarray) -> np.ndarray:
     """Root sum of squared magnitudes across the leading coil axis."""
-    images = np.asarray(images)
-    if images.ndim != 3 or images.shape[0] < 1:
-        raise ValueError("expected (n_coils, rows, cols) with at least one coil")
-    return np.sqrt(np.sum(np.abs(images) ** 2, axis=0))
+    return _rsos(images, "coil")
 
 
 def rsos_bins(images: np.ndarray) -> np.ndarray:
     """Root sum of squared magnitudes across the leading bin axis."""
+    return _rsos(images, "bin")
+
+
+def _rsos(images: np.ndarray, axis: str) -> np.ndarray:
     images = np.asarray(images)
     if images.ndim != 3 or images.shape[0] < 1:
-        raise ValueError("expected (n_bins, rows, cols) with at least one bin")
+        raise ValueError(f"expected (n_{axis}s, rows, cols) with at least one {axis}")
     return np.sqrt(np.sum(np.abs(images) ** 2, axis=0))
 
 
@@ -189,19 +190,13 @@ def pi_interpolate(
     if acs_block.shape[0] != nc:
         raise ValueError("ACS coil count must match the data")
 
-    taps_y = (np.arange(geometry.ky_taps) - (geometry.ky_taps - 1) // 2) * ry
-    taps_z = (np.arange(geometry.kz_taps) - (geometry.kz_taps - 1) // 2) * rz
-    # Every source offset below lies in [min(taps) - (r - 1), max(taps)].
-    pad_y = int(max(ry - 1 - taps_y.min(), taps_y.max()))
-    pad_z = int(max(rz - 1 - taps_z.min(), taps_z.max()))
+    sources = _kernel_sources(geometry)
+    pad_y = max(max(-min(src_y), max(src_y)) for _, _, src_y, _ in sources)
+    pad_z = max(max(-min(src_z), max(src_z)) for _, _, _, src_z in sources)
     padded = np.pad(ksp, ((0, 0), (pad_y, pad_y), (pad_z, pad_z)))
     out = ksp.copy()
 
-    for dy, dz in product(range(ry), range(rz)):
-        if dy == 0 and dz == 0:
-            continue
-        src_y = taps_y - dy
-        src_z = taps_z - dz
+    for dy, dz, src_y, src_z in sources:
         w = _fit_kernel(acs_block, src_y, src_z, geometry.ridge)
         y0 = (ky // 2 + dy) % ry
         z0 = (kz // 2 + dz) % rz
@@ -210,6 +205,39 @@ def pi_interpolate(
         values = (w.T @ src).reshape(nc, *counts)
         np.copyto(out[:, y0::ry, z0::rz], values, where=~mask[y0::ry, z0::rz])
     return out
+
+
+def _kernel_sources(geometry: KernelGeometry) -> list[tuple[int, int, list[int], list[int]]]:
+    """``(dy, dz, src_y, src_z)`` per lattice offset PI synthesizes: every one but (0, 0).
+
+    ``src_y``/``src_z`` are the offsets, relative to the target, of the
+    acquired samples the kernel's taps read.
+    """
+    taps_y = [(i - (geometry.ky_taps - 1) // 2) * geometry.ry for i in range(geometry.ky_taps)]
+    taps_z = [(i - (geometry.kz_taps - 1) // 2) * geometry.rz for i in range(geometry.kz_taps)]
+    return [(dy, dz, [t - dy for t in taps_y], [t - dz for t in taps_z])
+            for dy, dz in product(range(geometry.ry), range(geometry.rz)) if dy or dz]
+
+
+def _calibration_window(acs_dims, src_y, src_z) -> tuple[tuple[int, int], tuple[int, int]]:
+    """First ACS target and target counts of a kernel: the targets whose sources all lie in the block.
+
+    Raises ValueError when the block holds no such target.
+    """
+    ar, ac = acs_dims
+    ty_lo = max(0, -min(src_y))
+    ty_hi = ar - 1 - max(max(src_y), 0)
+    tz_lo = max(0, -min(src_z))
+    tz_hi = ac - 1 - max(max(src_z), 0)
+    if ty_hi < ty_lo or tz_hi < tz_lo:
+        raise ValueError(f"{ar}x{ac} ACS block too small for the kernel geometry")
+    return (ty_lo, tz_lo), (ty_hi - ty_lo + 1, tz_hi - tz_lo + 1)
+
+
+def check_acs_fits(acs_dims, geometry: KernelGeometry) -> None:
+    """Raise ValueError unless the ACS block calibrates every kernel ``pi_interpolate`` fits."""
+    for _, _, src_y, src_z in _kernel_sources(geometry):
+        _calibration_window(acs_dims, src_y, src_z)
 
 
 def _tap_matrix(grid: np.ndarray, start, counts, step, src_y, src_z) -> np.ndarray:
@@ -222,7 +250,7 @@ def _tap_matrix(grid: np.ndarray, start, counts, step, src_y, src_z) -> np.ndarr
     """
     nc = grid.shape[0]
     (y0, z0), (ny, nz), (sy, sz) = start, counts, step
-    src = np.empty((nc, src_y.size, src_z.size, ny, nz), dtype=np.complex128)
+    src = np.empty((nc, len(src_y), len(src_z), ny, nz), dtype=np.complex128)
     for a, oy in enumerate(src_y):
         for b, oz in enumerate(src_z):
             y, z = y0 + oy, z0 + oz
@@ -232,17 +260,10 @@ def _tap_matrix(grid: np.ndarray, start, counts, step, src_y, src_z) -> np.ndarr
 
 def _fit_kernel(acs: np.ndarray, src_y, src_z, ridge: float) -> np.ndarray:
     """Least-squares weights mapping source constellations to ACS targets."""
-    nc, ar, ac = acs.shape
-    ty_lo = max(0, -src_y.min())
-    ty_hi = ar - 1 - max(src_y.max(), 0)
-    tz_lo = max(0, -src_z.min())
-    tz_hi = ac - 1 - max(src_z.max(), 0)
-    if ty_hi < ty_lo or tz_hi < tz_lo:
-        raise ValueError("ACS block too small for the kernel geometry")
-
-    counts = (ty_hi - ty_lo + 1, tz_hi - tz_lo + 1)
+    nc = acs.shape[0]
+    (ty_lo, tz_lo), counts = _calibration_window(acs.shape[1:], src_y, src_z)
     src = np.ascontiguousarray(_tap_matrix(acs, (ty_lo, tz_lo), counts, (1, 1), src_y, src_z).T)
-    targets = acs[:, ty_lo:ty_hi + 1, tz_lo:tz_hi + 1].reshape(nc, -1).T
+    targets = acs[:, ty_lo:ty_lo + counts[0], tz_lo:tz_lo + counts[1]].reshape(nc, -1).T
 
     if ridge > 0:
         gram = src.conj().T @ src

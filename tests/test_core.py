@@ -273,8 +273,13 @@ class TestContainer:
             (lambda meta: meta["model_config"].update(channels=[4]), ContainerError),
             (lambda meta: meta.pop("tensors"), ContainerError),
             (lambda meta: meta["tensors"][0].update(shape=[6.0]), ContainerError),
+            # same payload size, but the tensors no longer match the model the config builds
+            (lambda meta: meta["model_config"].update(kernel_size=5), ContainerError),
+            (lambda meta: meta["tensors"][0].update(shape=[4, 4, 9, 1]), ContainerError),
+            (lambda meta: meta["tensors"][0].update(name="enc1/w"), ContainerError),
         ],
-        ids=["norm-schema", "missing-config-key", "bad-config", "missing-tensors", "non-integer-shape"],
+        ids=["norm-schema", "missing-config-key", "bad-config", "missing-tensors", "non-integer-shape",
+             "config-disagrees-with-tensors", "reshaped-tensor", "renamed-tensor"],
     )
     def test_malformed_checkpoint_header(self, tmp_path, edit, error):
         path = tmp_path / "model.msmodel"

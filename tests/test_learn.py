@@ -18,7 +18,7 @@ from vrmsi.learn import (
     save_model,
     train,
 )
-from vrmsi.learn.layers import Conv2d, NearestUpsample, ReLU
+from vrmsi.learn.layers import Conv2d, upsample2, upsample2_adjoint
 from vrmsi.recon import METHOD_CR_VR, METHOD_CR_ZREPLACE, ReconOutput
 from vrmsi.sampling import AcquisitionParams, build_vr_plan
 
@@ -159,29 +159,33 @@ class TestGradients:
             layer.backward(dy)
             assert (lp - lm) / (2 * eps) == pytest.approx(layer.dw[widx], rel=1e-4, abs=1e-8)
 
-    def test_upsample_gradients(self):
-        rng = np.random.default_rng(6)
-        up = NearestUpsample(2)
-        x = rng.standard_normal((1, 2, 4, 4))
-        dy = rng.standard_normal((1, 2, 8, 8))
-        up.forward(x)
-        dx = up.backward(dy)
-        eps = 1e-6
-        for _ in range(10):
-            idx = tuple(rng.integers(0, s) for s in x.shape)
-            xp = x.copy()
-            xp[idx] += eps
-            xm = x.copy()
-            xm[idx] -= eps
-            fd = (np.sum(up.forward(xp) * dy) - np.sum(up.forward(xm) * dy)) / (2 * eps)
-            assert fd == pytest.approx(dx[idx], rel=1e-6)
+    def test_conv_relu_gradients(self):
+        layer = Conv2d(2, 3, rng=np.random.default_rng(2))
+        layer.b[:] = [0.3, -0.2, 0.0]
+        self._layer_check(layer, (2, 2, 6, 6))
+        assert layer._mask.any() and not layer._mask.all()   # the check crossed the kink
 
-    def test_relu_gradient(self):
-        relu = ReLU()
-        x = np.array([[[[-1.0, 2.0], [0.5, -0.25]]]])
-        relu.forward(x)
-        dy = np.ones_like(x)
-        assert np.array_equal(relu.backward(dy), np.array([[[[0.0, 1.0], [1.0, 0.0]]]]))
+    def test_relu_zero_preactivation_passes_no_gradient(self):
+        # A zero input makes channel 0's pre-activation exactly 0 and channel 1's 0.5.
+        layer = Conv2d(1, 2, rng=np.random.default_rng(0))
+        layer.b[:] = [0.0, 0.5]
+        out = layer.forward(np.zeros((1, 1, 4, 4)))
+        assert np.all(out[:, 0] == 0.0) and np.all(out[:, 1] == 0.5)
+        dx = layer.backward(np.ones_like(out))
+        assert np.array_equal(layer.db, [0.0, 16.0])
+        layer.w[0] = 0.0                     # channel 0's weights reach dx only through its gradient
+        assert np.array_equal(layer.backward(np.ones_like(out)), dx)
+
+    def test_upsample_pair_is_exact_adjoint(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((2, 3, 4, 5))
+        dy = rng.standard_normal((2, 3, 8, 10))
+        up = upsample2(x)
+        assert up.shape == dy.shape
+        assert np.array_equal(up[:, :, 1::2, ::2], x)
+        # <U x, dy> = <x, U^T dy>, up to the order of summation
+        assert np.sum(up * dy) == pytest.approx(np.sum(x * upsample2_adjoint(dy)), rel=1e-14)
+        assert np.array_equal(upsample2_adjoint(np.ones((1, 1, 4, 4))), np.full((1, 1, 2, 2), 4.0))
 
 
 class TestLoss:

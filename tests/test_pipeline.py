@@ -121,6 +121,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(ini)
 
+    @pytest.mark.parametrize(
+        "accel, rows, cols, fits",
+        [(2, 9, 7, True), (2, 8, 7, False), (2, 9, 6, False), (1, 2, 2, True)],
+        ids=["fits", "rows-short", "cols-short", "unaccelerated"],
+    )
+    def test_kernel_must_fit_acs_block(self, tmp_path, accel, rows, cols, fits):
+        # At R=2x2 the default 5x4 taps span 9 rows and 7 columns; at R=1x1 no kernel is fit.
+        overrides = {"acquisition.accel_ky": accel, "acquisition.accel_kz": accel,
+                     "acquisition.acs_rows": rows, "acquisition.acs_cols": cols}
+        if fits:
+            assert tiny_config(tmp_path, **overrides).acquisition["acs_rows"] == rows
+        else:
+            with pytest.raises(ConfigError, match=r"\[recon\] kernel_ky/kernel_kz"):
+                tiny_config(tmp_path, **overrides)
+
     def test_hash_stable(self, tmp_path):
         a = tiny_config(tmp_path)
         b = tiny_config(tmp_path)
@@ -474,6 +489,15 @@ class TestCli:
         assert main(["phantom", "--config", str(ini)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_kernel_too_large_exit_code(self, tmp_path, capsys):
+        ini = tmp_path / "small_acs.ini"
+        ini.write_text(TINY_INI.format(out=tmp_path / "out").replace("acs_rows = 12\nacs_cols = 12",
+                                                                    "acs_rows = 8\nacs_cols = 8"))
+        assert main(["run-all", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "[recon] kernel_ky/kernel_kz" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dependency_exit_code(self, tmp_path, capsys):
         ini = tmp_path / "ok.ini"
         ini.write_text(TINY_INI.format(out=tmp_path / "out"))
@@ -517,6 +541,7 @@ class TestCli:
         # Each edit is undone after its case.
         cases = [
             ("infer", "models/model_vr.msmodel", '"shape": [6', '"shape": [5'),
+            ("infer", "models/model_vr.msmodel", '"kernel_size": 3', '"kernel_size": 5'),
             ("train", "recon/s000/slice00.CR_VR.msstack", '"rows": 32', '"rows": 31'),
             ("train", "recon/s000/slice00.CR_VR.msstack", '"method": "CR_VR"', '"method": "CR_VX"'),
             ("recon", "kspace/plan.msstack", '"rows": 32', '"rows": 31'),
