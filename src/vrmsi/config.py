@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 
+from vrmsi.learn import ModelConfig, TrainConfig
 from vrmsi.recon import (
     DEFAULT_APOD_SIGMA_FRACTION,
     DEFAULT_KERNEL_TAPS,
@@ -19,7 +21,7 @@ from vrmsi.recon import (
     KernelGeometry,
     check_acs_fits,
 )
-from vrmsi.sampling import AcquisitionParams
+from vrmsi.sampling import AcquisitionParams, build_vr_plan
 
 
 # The hashed sections in pipeline order: each stage depends on a prefix.
@@ -119,6 +121,14 @@ class ExperimentConfig:
             acs=(a["acs_rows"], a["acs_cols"]),
         )
 
+    def model_config(self) -> ModelConfig:
+        n_bins = self.acquisition["n_bins"]
+        return ModelConfig(n_bins, n_bins // 2, self.model["n_levels"], self.model["channels"])
+
+    def train_config(self) -> TrainConfig:
+        t = self.train
+        return TrainConfig(t["learning_rate"], t["epochs"], t["batch_size"], seed=self.seed)
+
     def bin_centers(self) -> list[float]:
         n = self.acquisition["n_bins"]
         spacing = self.acquisition["bin_spacing_khz"]
@@ -143,12 +153,26 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical(upto).encode()).hexdigest()[:16]
 
 
+def _config_error(path, message: str) -> ConfigError:
+    """A ConfigError that names the INI file, when there is one."""
+    return ConfigError(message if path is None else f"{path}: {message}")
+
+
+@contextmanager
+def _refused_as(path, label: str):
+    """Re-raise a ValueError from building a stage's parameters as a ConfigError under ``label``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _config_error(path, f"{label}: {exc}") from exc
+
+
 def _get(parser, section, key, conv, path):
     raw = parser.get(section, key)
     try:
         return conv(raw)
     except ValueError as exc:
-        raise ConfigError(f"{path}: [{section}] {key} = {raw!r}: {exc}") from exc
+        raise _config_error(path, f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
@@ -173,10 +197,10 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
 
     for section in parser.sections():
         if section not in _DEFAULTS:
-            raise ConfigError(f"{path}: unknown section [{section}]")
+            raise _config_error(path, f"unknown section [{section}]")
         for key in parser[section]:
             if key not in _DEFAULTS[section]:
-                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+                raise _config_error(path, f"unknown key {key!r} in [{section}]")
 
     values = {
         section: {key: _get(parser, section, key, conv, path) for key, (_, conv) in keys.items()}
@@ -188,33 +212,31 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig, path) -> None:
+    """Refuse a config that a stage would refuse, by building the parameters the stages build."""
     if cfg.split["train_subjects"] < 1 or cfg.split["val_subjects"] < 1 or cfg.split["test_subjects"] < 1:
-        raise ConfigError("split counts must all be positive")
+        raise _config_error(path, "split counts must all be positive")
     if cfg.phantom["families"] not in ("single", "mixed"):
-        raise ConfigError("phantom families must be 'single' or 'mixed'")
+        raise _config_error(path, "phantom families must be 'single' or 'mixed'")
     n_bins = cfg.acquisition["n_bins"]
     coverage = n_bins * cfg.acquisition["bin_spacing_khz"]
     if cfg.phantom["field_span_khz"] < coverage / 2.0:
-        raise ConfigError(
-            f"field_span_khz {cfg.phantom['field_span_khz']} below half the spectral "
-            f"coverage {coverage / 2.0}: outer bins would stay empty"
-        )
-    if len(cfg.model["channels"]) != cfg.model["n_levels"]:
-        raise ConfigError("model channels list must have one entry per level")
-    factor = 2 ** (cfg.model["n_levels"] - 1)
-    out_rows, out_cols = cfg.out_shape()
-    if out_rows % factor or out_cols % factor:
-        raise ConfigError(
-            f"recon output dims {out_rows}x{out_cols} must be divisible by {factor} "
-            "for the network"
-        )
-    try:
+        raise _config_error(path, f"field_span_khz {cfg.phantom['field_span_khz']} below half the spectral "
+                                  f"coverage {coverage / 2.0}: outer bins would stay empty")
+    with _refused_as(path, "[acquisition]"):
         params = cfg.acquisition_params()
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        build_vr_plan(params)
+    with _refused_as(path, "[model]"):
+        factor = cfg.model_config().downsample_factor
+    with _refused_as(path, "[train]"):
+        cfg.train_config()
+    out_rows, out_cols = cfg.out_shape()
+    if out_rows < params.matrix[0] or out_cols < params.matrix[1]:
+        raise _config_error(path, f"[recon] out_rows/out_cols = {out_rows}x{out_cols} "
+                                  f"smaller than the {params.matrix[0]}x{params.matrix[1]} matrix")
+    if out_rows % factor or out_cols % factor:
+        raise _config_error(path, f"recon output dims {out_rows}x{out_cols} must be divisible by {factor} "
+                                  "for the network")
     taps = (cfg.recon["kernel_ky"], cfg.recon["kernel_kz"])
-    try:
+    with _refused_as(path, f"[recon] kernel_ky/kernel_kz = {taps[0]}/{taps[1]} "
+                           f"at R={params.accel[0]}x{params.accel[1]}"):
         check_acs_fits(params.acs, KernelGeometry(*params.accel, *taps))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [recon] kernel_ky/kernel_kz = {taps[0]}/{taps[1]} "
-                          f"at R={params.accel[0]}x{params.accel[1]}: {exc}") from exc

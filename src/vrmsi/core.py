@@ -21,7 +21,7 @@ import math
 import operator
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class MultiSpectralStack:
     data: np.ndarray
     bin_centers_khz: np.ndarray
     domain: str
-    provenance: str = field(default="")
 
     def __post_init__(self):
         data = np.array(self.data, dtype=np.complex128, order="C")
@@ -107,7 +106,7 @@ class MultiSpectralStack:
         return self.data.shape[3]
 
     def with_data(self, data: np.ndarray, domain: str) -> "MultiSpectralStack":
-        return MultiSpectralStack(data, self.bin_centers_khz, domain, self.provenance)
+        return MultiSpectralStack(data, self.bin_centers_khz, domain)
 
 
 def fft2c(arr: np.ndarray) -> np.ndarray:
@@ -135,14 +134,6 @@ def fft_stack(stack: MultiSpectralStack) -> MultiSpectralStack:
         raise ValueError("fft_stack expects an image-domain stack")
     _check_finite(stack.data)
     return stack.with_data(fft2c(stack.data), DOMAIN_KSPACE)
-
-
-def ifft_stack(stack: MultiSpectralStack) -> MultiSpectralStack:
-    """Inverse transform every (bin, coil) plane of a k-space stack."""
-    if stack.domain != DOMAIN_KSPACE:
-        raise ValueError("ifft_stack expects a k-space stack")
-    _check_finite(stack.data)
-    return stack.with_data(ifft2c(stack.data), DOMAIN_IMAGE)
 
 
 def _center_offsets(out_dims: tuple[int, int], in_dims: tuple[int, int]) -> tuple[int, int]:
@@ -181,7 +172,7 @@ def crop_center_array(arr: np.ndarray, out_rows: int, out_cols: int) -> np.ndarr
 #
 # Every MSSTACK file (stacks, recons, plans, truths) is written and read by
 # write_stack_file/read_stack_file: the header carries n_bins, n_coils, rows,
-# cols, domain, bin_centers_khz, provenance and the required payload_dtype,
+# cols, domain, bin_centers_khz and the required payload_dtype,
 # plus any caller keys.  payload_arrays splits every payload, checkpoints
 # included, and refuses one its declared shapes do not exactly fill.
 # ---------------------------------------------------------------------------
@@ -230,12 +221,10 @@ def payload_arrays(path, payload, dtype, shapes) -> list[np.ndarray]:
     return [flat[o:o + size].reshape(shape) for o, size, shape in zip(offsets, sizes, shapes)]
 
 
-def write_stack_file(path, data4d, payload_dtype: str, domain: str, bin_centers_khz=(),
-                     provenance: str = "", **extra) -> None:
+def write_stack_file(path, data4d, payload_dtype: str, domain: str, bin_centers_khz=(), **extra) -> None:
     """Frame a (bins, coils, rows, cols) array as an MSSTACK container; ``extra`` joins the header."""
     metadata = dict(zip(_STACK_DIMS, map(int, data4d.shape), strict=True), domain=domain,
-                    bin_centers_khz=[float(c) for c in bin_centers_khz], provenance=provenance,
-                    payload_dtype=payload_dtype, **extra)
+                    bin_centers_khz=[float(c) for c in bin_centers_khz], payload_dtype=payload_dtype, **extra)
     payload = np.ascontiguousarray(data4d, dtype=_PAYLOAD_DTYPES[payload_dtype]).tobytes()
     write_container(path, MAGIC_STACK, metadata, payload)
 
@@ -260,11 +249,11 @@ def header_fields(path):
 
 def save_stack(stack: MultiSpectralStack, path) -> None:
     """Write a stack as an MSSTACK container (little-endian complex64 payload)."""
-    write_stack_file(path, stack.data, "complex64", stack.domain, stack.bin_centers_khz, stack.provenance)
+    write_stack_file(path, stack.data, "complex64", stack.domain, stack.bin_centers_khz)
 
 
 def load_stack(path) -> MultiSpectralStack:
     """Read an MSSTACK container written by save_stack."""
     meta, data = read_stack_file(path)
     with header_fields(path):
-        return MultiSpectralStack(data, meta["bin_centers_khz"], meta["domain"], meta.get("provenance", ""))
+        return MultiSpectralStack(data, meta["bin_centers_khz"], meta["domain"])

@@ -25,6 +25,7 @@ class ModelConfig:
     kernel_size: int = 3
 
     def __post_init__(self):
+        object.__setattr__(self, "channels", tuple(self.channels))
         if self.out_channels * 2 != self.in_channels:
             raise ValueError("output channels must be half the input channels")
         if len(self.channels) != self.n_levels:
@@ -35,25 +36,6 @@ class ModelConfig:
     @property
     def downsample_factor(self) -> int:
         return 2 ** (self.n_levels - 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "n_levels": self.n_levels,
-            "channels": list(self.channels),
-            "kernel_size": self.kernel_size,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(
-            in_channels=d["in_channels"],
-            out_channels=d["out_channels"],
-            n_levels=d["n_levels"],
-            channels=tuple(d["channels"]),
-            kernel_size=d["kernel_size"],
-        )
 
 
 class UNet:

@@ -31,7 +31,6 @@ class NumericalError(RuntimeError):
 class NormStats:
     mean: float
     std: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -49,13 +48,13 @@ class TrainConfig:
 
 
 def normalize_slice(x: np.ndarray) -> tuple[np.ndarray, NormStats]:
-    """Zero-mean unit-std over all channels jointly; constant slices flagged."""
+    """Zero-mean unit-std over all channels jointly; a constant slice is only centered."""
     x = np.asarray(x, dtype=np.float64)
     mean = float(x.mean())
     std = float(x.std())
     if std < _STD_FLOOR:
-        return x - mean, NormStats(mean, 1.0, True)
-    return (x - mean) / std, NormStats(mean, std, False)
+        std = 1.0
+    return (x - mean) / std, NormStats(mean, std)
 
 
 def denormalize(xn: np.ndarray, stats: NormStats) -> np.ndarray:
@@ -180,7 +179,7 @@ def _infer(model: UNet, recon_output: ReconOutput, plan: SamplingPlan, method: s
     pred = denormalize(model.forward(xn[None])[0], stats)
     images = np.array(recon_output.images)
     images[acs_bins] = np.maximum(pred, 0.0)
-    return ReconOutput(images, method, recon_output.mask_provenance)
+    return ReconOutput(images, method)
 
 
 def save_model(model: UNet, path, optimizer: Adam | None = None, config: TrainConfig | None = None,
@@ -194,7 +193,7 @@ def save_model(model: UNet, path, optimizer: Adam | None = None, config: TrainCo
         arrays += [np.asarray(v, dtype="<f8") for v in optimizer.v]
         tensor_names += [f"{n}.adam_m" for n in names] + [f"{n}.adam_v" for n in names]
     metadata = {
-        "model_config": model.config.to_dict(),
+        "model_config": asdict(model.config),
         "tensors": [{"name": n, "shape": list(a.shape)} for n, a in zip(tensor_names, arrays)],
         "step_count": optimizer.step_count if optimizer is not None else 0,
         "norm_schema": NORM_SCHEMA_VERSION,
@@ -211,7 +210,7 @@ def load_model(path) -> tuple[UNet, dict]:
     if metadata.get("norm_schema") != NORM_SCHEMA_VERSION:
         raise BadVersionError(f"{path}: unsupported normalization schema")
     with header_fields(path):
-        model = UNet(ModelConfig.from_dict(metadata["model_config"]), seed=0)
+        model = UNet(ModelConfig(**metadata["model_config"]), seed=0)
         names = [entry["name"] for entry in metadata["tensors"]]
         shapes = [tuple(map(operator.index, entry["shape"])) for entry in metadata["tensors"]]
         n = len(model.parameters())

@@ -81,6 +81,8 @@ def psnr(test: np.ndarray, reference: np.ndarray) -> float:
     peak = float(reference.max())
     if mse == 0.0:
         return math.inf
+    if peak <= 0:
+        raise ValueError("reference image must have positive maximum")
     return 10.0 * math.log10(peak * peak / mse)
 
 

@@ -189,8 +189,7 @@ def _edge_segments(inner: Ellipse, implant: Implant, count, rows, cols, rng):
 
 def save_truth(truth: PhantomTruth, stack_path, sidecar_path, extra: dict) -> None:
     channels = np.concatenate([truth.proton_density[None], truth.off_resonance_khz[None], truth.coil_maps])
-    write_stack_file(stack_path, channels[:, None], "complex64", DOMAIN_IMAGE, range(len(channels)),
-                     "phantom-truth-v1")
+    write_stack_file(stack_path, channels[:, None], "complex64", DOMAIN_IMAGE, range(len(channels)))
     sidecar = dict(extra)
     sidecar["edge_segments"] = [[list(p0), list(p1)] for p0, p1 in truth.edge_segments]
     Path(sidecar_path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

@@ -33,7 +33,6 @@ from vrmsi import __version__
 from vrmsi.config import ExperimentConfig
 from vrmsi.core import load_stack, save_stack
 from vrmsi.learn import (
-    TrainConfig,
     UNet,
     infer_full_stack,
     infer_zreplace,
@@ -42,7 +41,6 @@ from vrmsi.learn import (
     save_model,
     train,
 )
-from vrmsi.learn.model import ModelConfig
 from vrmsi.metrics import (
     EdgeSegment,
     EvalReport,
@@ -288,19 +286,8 @@ def _load_method(root: Path, sid: str, slice_idx: int, method: str):
 
 def cmd_train(cfg: ExperimentConfig, force: bool = False) -> Path:
     def build(root, stage_dir):
-        n_bins = cfg.acquisition["n_bins"]
-        model_cfg = ModelConfig(
-            in_channels=n_bins,
-            out_channels=n_bins // 2,
-            n_levels=cfg.model["n_levels"],
-            channels=cfg.model["channels"],
-        )
-        train_cfg = TrainConfig(
-            learning_rate=cfg.train["learning_rate"],
-            epochs=cfg.train["epochs"],
-            batch_size=cfg.train["batch_size"],
-            seed=cfg.seed,
-        )
+        model_cfg = cfg.model_config()
+        train_cfg = cfg.train_config()
 
         # Both models learn the same REFERENCE ACS bins, so they are read once.
         acs_bins = load_plan(root / STAGE_KSPACE / PLAN).bins_with_scheme(ACS_ONLY)

@@ -1,4 +1,4 @@
-"""Non-learned reconstruction: zero-fill, apodized ACS, homodyne, PI, RSOS.
+"""Non-learned reconstruction: apodized ACS, homodyne, PI, RSOS.
 
 The full-scheme pipeline runs, per bin and in this order: parallel-imaging
 interpolation of the missing lattice offsets, homodyne partial-Fourier
@@ -68,7 +68,6 @@ class ReconOutput:
 
     images: np.ndarray                   # (n_bins, rows, cols) real, >= 0
     method: str
-    mask_provenance: str = ""
 
     def __post_init__(self):
         images = np.array(self.images, dtype=np.float64, order="C")
@@ -84,13 +83,6 @@ class ReconOutput:
     @property
     def n_bins(self) -> int:
         return self.images.shape[0]
-
-
-def zero_fill_recon(ksp: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Zero unsampled entries and inverse transform."""
-    if mask.shape != ksp.shape[-2:]:
-        raise ValueError("mask dims must match k-space dims")
-    return ifft2c(np.where(mask, ksp, 0))
 
 
 def apodized_acs_recon(
@@ -329,7 +321,7 @@ def reconstruct(
             image = rsos_coils(apodized_acs_recon(masked, params.acs, apod_sigma_fraction))
         combined[b] = _resample_to(image, out_rows, out_cols)
 
-    return ReconOutput(combined, method, mask_provenance=f"vr-plan-{plan.n_bins}bins")
+    return ReconOutput(combined, method)
 
 
 def _resample_to(image: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
@@ -339,11 +331,10 @@ def _resample_to(image: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
 
 
 def save_recon(output: ReconOutput, path) -> None:
-    write_stack_file(path, output.images[:, None], "float32", DOMAIN_IMAGE,
-                     provenance=output.mask_provenance, method=output.method)
+    write_stack_file(path, output.images[:, None], "float32", DOMAIN_IMAGE, method=output.method)
 
 
 def load_recon(path) -> ReconOutput:
     metadata, images = read_stack_file(path)
     with header_fields(path):
-        return ReconOutput(np.maximum(images[:, 0], 0.0), metadata["method"], metadata.get("provenance", ""))
+        return ReconOutput(np.maximum(images[:, 0], 0.0), metadata["method"])

@@ -174,7 +174,7 @@ def efficiency_gain(params: AcquisitionParams) -> float:
 
 def save_plan(plan: SamplingPlan, path) -> None:
     """Persist masks as a u8 stack with scheme labels and acquisition params in the header."""
-    write_stack_file(path, plan.masks[:, None], "uint8", DOMAIN_KSPACE, provenance="sampling-plan",
+    write_stack_file(path, plan.masks[:, None], "uint8", DOMAIN_KSPACE,
                      schemes=plan.schemes, params=asdict(plan.params))
 
 

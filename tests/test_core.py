@@ -16,7 +16,6 @@ from vrmsi.core import (
     fft2c,
     fft_stack,
     ifft2c,
-    ifft_stack,
     load_stack,
     pad_center_array,
     read_container,
@@ -88,8 +87,6 @@ class TestFft:
     def test_domain_tag_enforced(self):
         img = plane_stack(random_image(8, 8), "image")
         with pytest.raises(ValueError):
-            ifft_stack(img)
-        with pytest.raises(ValueError):
             fft_stack(fft_stack(img))
 
     def test_non_finite_rejected(self):
@@ -99,7 +96,7 @@ class TestFft:
             fft_stack(plane_stack(data, "image"))
         data[1, 1] = np.inf
         with pytest.raises(DataIntegrityError):
-            ifft_stack(plane_stack(data, "kspace"))
+            fft_stack(plane_stack(data, "image"))
 
     def test_unitarity_norm_preserved(self):
         for seed in range(4):
@@ -162,7 +159,7 @@ def random_stack(seed=0, n_bins=8, n_coils=2, rows=64, cols=64):
         + 1j * rng.standard_normal((n_bins, n_coils, rows, cols)).astype(np.float32)
     ).astype(np.complex64)
     centers = (np.arange(n_bins) - (n_bins - 1) / 2.0) * 1.0
-    return MultiSpectralStack(data, centers, "kspace", provenance="test")
+    return MultiSpectralStack(data, centers, "kspace")
 
 
 def _write_stack(path):
@@ -205,7 +202,6 @@ class TestContainer:
         assert np.array_equal(loaded.data, stack.data)
         assert np.array_equal(loaded.bin_centers_khz, stack.bin_centers_khz)
         assert loaded.domain == stack.domain
-        assert loaded.provenance == stack.provenance
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "stack.msstack"
@@ -296,7 +292,7 @@ class TestContainer:
         assert int.from_bytes(raw[8:12], "little") == 1
         json_len = int.from_bytes(raw[12:16], "little")
         meta = raw[16:16 + json_len].decode("utf-8")
-        for key in ("n_bins", "n_coils", "rows", "cols", "domain", "bin_centers_khz", "provenance"):
+        for key in ("n_bins", "n_coils", "rows", "cols", "domain", "bin_centers_khz"):
             assert f'"{key}"' in meta
 
 
@@ -312,13 +308,9 @@ class TestStackInvariants:
             MultiSpectralStack(data, np.array([0.0, 1.0, 3.0]), "image")
 
     def test_double_transform_restores_tag(self, image_stack64):
-        from vrmsi.core import fft_stack, ifft_stack
-
         ksp = fft_stack(image_stack64)
         assert ksp.domain == "kspace"
-        back = ifft_stack(ksp)
-        assert back.domain == "image"
-        assert np.max(np.abs(back.data - image_stack64.data)) < 1e-12
+        assert np.max(np.abs(ifft2c(ksp.data) - image_stack64.data)) < 1e-12
 
     def test_held_arrays_are_read_only_copies(self, tmp_path):
         data = np.ones((2, 1, 4, 4), dtype=complex)

@@ -93,6 +93,12 @@ class TestPsnr:
         x = np.random.default_rng(1).random((8, 8))
         assert math.isinf(psnr(x, x))
 
+    def test_zero_reference_maximum_rejected(self):
+        ref = np.zeros((8, 8))
+        assert math.isinf(psnr(ref, ref))
+        with pytest.raises(ValueError, match="positive maximum"):
+            psnr(ref + 0.1, ref)
+
     def test_noise_monotonic(self):
         rng = np.random.default_rng(2)
         ref = rng.random((32, 32))

@@ -136,6 +136,11 @@ class TestConfig:
             with pytest.raises(ConfigError, match=r"\[recon\] kernel_ky/kernel_kz"):
                 tiny_config(tmp_path, **overrides)
 
+    def test_error_without_file_names_no_path(self):
+        with pytest.raises(ConfigError) as err:
+            load_config(None, {"acquisition.acs_rows": 8, "acquisition.acs_cols": 8})
+        assert str(err.value).startswith("[recon] kernel_ky/kernel_kz")
+
     def test_hash_stable(self, tmp_path):
         a = tiny_config(tmp_path)
         b = tiny_config(tmp_path)
@@ -496,6 +501,29 @@ class TestCli:
         assert main(["run-all", "--config", str(ini)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "[recon] kernel_ky/kernel_kz" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, old, new",
+        [
+            ("acquisition", "n_bins = 8", "n_bins = 8\nn_concat = 4"),
+            ("acquisition", "pf_overscan = 6", "pf_overscan = 4"),
+            ("train", "learning_rate = 2e-3", "learning_rate = 0"),
+            ("train", "batch_size = 2", "batch_size = 0"),
+            ("model", "n_levels = 2\nchannels = 6,10", "n_levels = 0\nchannels ="),
+            ("recon", "[model]", "[recon]\nout_rows = 16\n\n[model]"),
+        ],
+        ids=["n_concat", "pf_overscan", "learning_rate", "batch_size", "n_levels", "out_rows"],
+    )
+    def test_refused_before_any_stage(self, tmp_path, capsys, section, old, new):
+        # Each value passes the INI parser but is refused by the parameters a stage builds.
+        ini = tmp_path / "refused.ini"
+        text = TINY_INI.format(out=tmp_path / "out")
+        assert old in text
+        ini.write_text(text.replace(old, new, 1))
+        assert main(["run-all", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"[{section}]" in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_dependency_exit_code(self, tmp_path, capsys):

@@ -2,14 +2,16 @@
 
 A traced benchmark run wraps each probed name; renaming or deleting one
 breaks the run, so the whole probe list is installed and restored here.  The
-serve gate's direct U-Net forward reads the network's layers by name too.
+serve gate's direct U-Net forward reads the network's layers by name too, and
+the workloads' input builders pass fields and arguments by name, so they run
+here as well.
 """
 
 import numpy as np
 
-from vrbench import reference_unet
+from vrbench import reference_unet, workloads
 from vrbench.tracing import Tracer, instrument, vrmsi_probes
-from vrmsi.learn import ModelConfig, UNet
+from vrmsi.learn import ModelConfig, TrainConfig, UNet
 
 
 def test_every_probe_installs_and_restores():
@@ -33,3 +35,15 @@ def test_reference_unet_reads_the_library_network():
     got = net.forward(x)
     want = reference_unet.unet_forward(net, x)
     assert reference_unet.max_relative_error(got, want) < reference_unet.TOLERANCE
+
+
+def test_benchmark_input_builders_run():
+    # The workloads build their inputs from these calls; a field or argument
+    # they pass by name (PhantomSpec.noise_sigma, say) must keep existing.
+    cfg = workloads.desk_config()
+    ksp, clean = workloads.make_slice(cfg, 1, 0)
+    assert ksp.domain == "kspace" and clean.domain == "image"
+    assert ksp.data.shape == clean.data.shape == (8, 4, 96, 96)
+    net = workloads.desk_unet(cfg, 1)
+    assert net.config == cfg.model_config()
+    assert TrainConfig(epochs=3, batch_size=4, seed=1).batch_size == 4

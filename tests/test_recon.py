@@ -1,4 +1,4 @@
-"""Reconstruction oracles: zero-fill, apodized ACS, homodyne, PI, full paths."""
+"""Reconstruction oracles: apodized ACS, homodyne, PI, full paths."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from vrmsi.recon import (
     rsos_bins,
     rsos_coils,
     save_recon,
-    zero_fill_recon,
     _fit_kernel,
     _gaussian_window,
 )
@@ -32,35 +31,10 @@ from vrmsi.sampling import (
 )
 from vrmsi.phantom import generate_phantom, to_kspace
 from tests.conftest import DESK_BIN_CENTERS, DESK_FWHM, small_spec
-from tests.test_core import dft2_oracle
 
 
 def nrmse(test, ref):
     return np.linalg.norm(test - ref) / np.linalg.norm(ref)
-
-
-class TestZeroFill:
-    def test_full_mask_is_plain_ifft(self):
-        rng = np.random.default_rng(0)
-        ksp = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        assert np.array_equal(zero_fill_recon(ksp, np.ones((16, 16), bool)), ifft2c(ksp))
-
-    def test_empty_mask_zero_image(self):
-        ksp = np.ones((8, 8), dtype=complex)
-        assert np.all(zero_fill_recon(ksp, np.zeros((8, 8), bool)) == 0)
-
-    def test_half_sampled_matches_dft_oracle(self):
-        rng = np.random.default_rng(3)
-        ksp = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        mask = rng.random((8, 8)) < 0.5
-        masked = np.where(mask, ksp, 0)
-        # inverse transform == conjugate-oracle trick: ifft(x) = conj(fft(conj(x)))
-        expected = np.conj(dft2_oracle(np.conj(masked)))
-        assert np.max(np.abs(zero_fill_recon(ksp, mask) - expected)) < 1e-9
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            zero_fill_recon(np.ones((8, 8), complex), np.ones((4, 4), bool))
 
 
 class TestApodizedAcs:
@@ -176,7 +150,7 @@ class TestHomodyne:
         ksp = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
         pf = partial_fourier_mask(32, 16)
         recon = homodyne_recon(ksp, pf)
-        reference = np.abs(zero_fill_recon(ksp, np.ones((32, 32), bool)))
+        reference = np.abs(ifft2c(ksp))
         assert np.max(np.abs(recon - reference)) < 1e-10
 
     def test_real_positive_image_exact(self):
