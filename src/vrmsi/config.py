@@ -39,10 +39,6 @@ def _parse_channels(raw: str) -> tuple[int, ...]:
         raise ConfigError(f"bad channel list {raw!r}") from exc
 
 
-def _optional_int(raw: str) -> int:
-    return int(raw) if raw else 0
-
-
 # section -> key -> (default as written in an INI file, parser of the raw value)
 _DEFAULTS = {
     "experiment": {
@@ -72,7 +68,6 @@ _DEFAULTS = {
     "acquisition": {
         "tr_seconds": ("4.0", float),
         "etl": ("32", int),
-        "n_concat": ("2", int),
         "n_bins": ("8", int),
         "bin_spacing_khz": ("1.0", float),
         "fwhm_khz": ("2.25", float),
@@ -87,8 +82,6 @@ _DEFAULTS = {
         "kernel_ky": (str(DEFAULT_KERNEL_TAPS[0]), int),
         "kernel_kz": (str(DEFAULT_KERNEL_TAPS[1]), int),
         "ridge": (str(DEFAULT_RIDGE), float),
-        "out_rows": ("", _optional_int),
-        "out_cols": ("", _optional_int),
     },
     "model": {"n_levels": ("5", int), "channels": ("16,32,64,128,256", _parse_channels)},
     "train": {"learning_rate": ("2e-4", float), "epochs": ("50", int), "batch_size": ("4", int)},
@@ -113,7 +106,7 @@ class ExperimentConfig:
         return AcquisitionParams(
             tr_seconds=a["tr_seconds"],
             etl=a["etl"],
-            n_concat=a["n_concat"],
+            n_concat=2,  # fixed by the VR scheme
             n_bins=a["n_bins"],
             matrix=(self.phantom["rows"], self.phantom["cols"]),
             accel=(a["accel_ky"], a["accel_kz"]),
@@ -133,11 +126,6 @@ class ExperimentConfig:
         n = self.acquisition["n_bins"]
         spacing = self.acquisition["bin_spacing_khz"]
         return [(i - (n - 1) / 2.0) * spacing for i in range(n)]
-
-    def out_shape(self) -> tuple[int, int]:
-        rows = self.recon["out_rows"] or self.phantom["rows"]
-        cols = self.recon["out_cols"] or self.phantom["cols"]
-        return (rows, cols)
 
     def canonical(self, upto: str = SECTIONS[-1]) -> str:
         """Sorted ``section.key=value`` lines of ``SECTIONS`` through ``upto``, then the seed."""
@@ -213,15 +201,19 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
 
 def _validate(cfg: ExperimentConfig, path) -> None:
     """Refuse a config that a stage would refuse, by building the parameters the stages build."""
-    if cfg.split["train_subjects"] < 1 or cfg.split["val_subjects"] < 1 or cfg.split["test_subjects"] < 1:
-        raise _config_error(path, "split counts must all be positive")
+    if min(cfg.split.values()) < 1:
+        raise _config_error(path, "[split] subject and slice counts must all be positive")
     if cfg.phantom["families"] not in ("single", "mixed"):
-        raise _config_error(path, "phantom families must be 'single' or 'mixed'")
+        raise _config_error(path, "[phantom] families must be 'single' or 'mixed'")
+    if cfg.phantom["n_coils"] < 1:
+        raise _config_error(path, f"[phantom] n_coils = {cfg.phantom['n_coils']}: need at least one coil")
+    if cfg.acquisition["bin_spacing_khz"] <= 0 or cfg.acquisition["fwhm_khz"] <= 0:
+        raise _config_error(path, "[acquisition] bin_spacing_khz and fwhm_khz must be positive")
     n_bins = cfg.acquisition["n_bins"]
     coverage = n_bins * cfg.acquisition["bin_spacing_khz"]
     if cfg.phantom["field_span_khz"] < coverage / 2.0:
-        raise _config_error(path, f"field_span_khz {cfg.phantom['field_span_khz']} below half the spectral "
-                                  f"coverage {coverage / 2.0}: outer bins would stay empty")
+        raise _config_error(path, f"[phantom] field_span_khz {cfg.phantom['field_span_khz']} below half the "
+                                  f"spectral coverage {coverage / 2.0}: outer bins would stay empty")
     with _refused_as(path, "[acquisition]"):
         params = cfg.acquisition_params()
         build_vr_plan(params)
@@ -229,12 +221,9 @@ def _validate(cfg: ExperimentConfig, path) -> None:
         factor = cfg.model_config().downsample_factor
     with _refused_as(path, "[train]"):
         cfg.train_config()
-    out_rows, out_cols = cfg.out_shape()
-    if out_rows < params.matrix[0] or out_cols < params.matrix[1]:
-        raise _config_error(path, f"[recon] out_rows/out_cols = {out_rows}x{out_cols} "
-                                  f"smaller than the {params.matrix[0]}x{params.matrix[1]} matrix")
-    if out_rows % factor or out_cols % factor:
-        raise _config_error(path, f"recon output dims {out_rows}x{out_cols} must be divisible by {factor} "
+    rows, cols = params.matrix
+    if rows % factor or cols % factor:
+        raise _config_error(path, f"[phantom] rows/cols = {rows}x{cols} must be divisible by {factor} "
                                   "for the network")
     taps = (cfg.recon["kernel_ky"], cfg.recon["kernel_kz"])
     with _refused_as(path, f"[recon] kernel_ky/kernel_kz = {taps[0]}/{taps[1]} "

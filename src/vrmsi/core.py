@@ -142,24 +142,24 @@ def _center_offsets(out_dims: tuple[int, int], in_dims: tuple[int, int]) -> tupl
     return ((out_dims[0] - in_dims[0]) // 2, (out_dims[1] - in_dims[1]) // 2)
 
 
-def pad_center_array(arr: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
+def pad_center_array(arr: np.ndarray, target_rows: int, target_cols: int) -> np.ndarray:
     """Embed the last two axes centered in a zero array of the target size."""
     rows, cols = arr.shape[-2], arr.shape[-1]
-    if out_rows < rows or out_cols < cols:
-        raise ValueError(f"target dims ({out_rows}, {out_cols}) smaller than input ({rows}, {cols})")
-    r0, c0 = _center_offsets((out_rows, out_cols), (rows, cols))
-    out = np.zeros(arr.shape[:-2] + (out_rows, out_cols), dtype=arr.dtype)
+    if target_rows < rows or target_cols < cols:
+        raise ValueError(f"target dims ({target_rows}, {target_cols}) smaller than input ({rows}, {cols})")
+    r0, c0 = _center_offsets((target_rows, target_cols), (rows, cols))
+    out = np.zeros(arr.shape[:-2] + (target_rows, target_cols), dtype=arr.dtype)
     out[..., r0:r0 + rows, c0:c0 + cols] = arr
     return out
 
 
-def crop_center_array(arr: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
+def crop_center_array(arr: np.ndarray, target_rows: int, target_cols: int) -> np.ndarray:
     """Extract the centered block from the last two axes."""
     rows, cols = arr.shape[-2], arr.shape[-1]
-    if out_rows > rows or out_cols > cols:
-        raise ValueError(f"target dims ({out_rows}, {out_cols}) exceed input ({rows}, {cols})")
-    r0, c0 = _center_offsets((rows, cols), (out_rows, out_cols))
-    return arr[..., r0:r0 + out_rows, c0:c0 + out_cols].copy()
+    if target_rows > rows or target_cols > cols:
+        raise ValueError(f"target dims ({target_rows}, {target_cols}) exceed input ({rows}, {cols})")
+    r0, c0 = _center_offsets((rows, cols), (target_rows, target_cols))
+    return arr[..., r0:r0 + target_rows, c0:c0 + target_cols].copy()
 
 
 # ---------------------------------------------------------------------------

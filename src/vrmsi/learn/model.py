@@ -30,6 +30,8 @@ class ModelConfig:
             raise ValueError("output channels must be half the input channels")
         if len(self.channels) != self.n_levels:
             raise ValueError("one channel width per level")
+        if any(width < 1 for width in self.channels):
+            raise ValueError(f"channel widths must be at least 1, got {self.channels}")
         if self.n_levels < 1:
             raise ValueError("need at least one level")
 

@@ -54,6 +54,7 @@ from vrmsi.metrics import (
 )
 from vrmsi.phantom import cohort_spec, generate_phantom, load_truth, save_truth, simulate_bins, to_kspace
 from vrmsi.recon import (
+    ALL_METHODS,
     METHOD_CR_VR,
     METHOD_CR_ZREPLACE,
     METHOD_DL_VR,
@@ -258,13 +259,12 @@ def cmd_acquire(cfg: ExperimentConfig, force: bool = False) -> Path:
 def cmd_recon(cfg: ExperimentConfig, force: bool = False) -> Path:
     def build(root, stage_dir):
         plan = load_plan(root / STAGE_KSPACE / PLAN)
-        out_shape = cfg.out_shape()
         r = cfg.recon
 
         def recon_one(task):
             _, sid, _, slice_idx = task
             ksp = load_stack(_slice_path(root / STAGE_KSPACE, sid, slice_idx, "ksp.msstack"))
-            options = dict(out_shape=out_shape, apod_sigma_fraction=r["apod_sigma_fraction"],
+            options = dict(apod_sigma_fraction=r["apod_sigma_fraction"],
                            kernel_taps=(r["kernel_ky"], r["kernel_kz"]), ridge=r["ridge"])
             # The CR methods copy REFERENCE's full-scheme bins: one PI per bin.
             reference = reconstruct(plan, ksp, METHOD_REFERENCE, **options)
@@ -349,30 +349,22 @@ def cmd_infer(cfg: ExperimentConfig, force: bool = False) -> Path:
 def cmd_eval(cfg: ExperimentConfig, force: bool = False) -> Path:
     def build(root, stage_dir):
         acs_bins = load_plan(root / STAGE_KSPACE / PLAN).bins_with_scheme(ACS_ONLY)
-        out_shape = cfg.out_shape()
-        scale_r = out_shape[0] / cfg.phantom["rows"]
-        scale_c = out_shape[1] / cfg.phantom["cols"]
-
         report = EvalReport()
-        methods = (METHOD_REFERENCE, METHOD_CR_VR, METHOD_CR_ZREPLACE, METHOD_DL_VR, METHOD_DL_ZREPLACE)
         ablation = {METHOD_DL_VR: [], METHOD_DL_ZREPLACE: []}
 
         for _, sid, _, slice_idx in _iter_slices(cfg, roles=("test",)):
             truth = _load_truth(root, sid, slice_idx)
-            outputs = {m: _load_method(root, sid, slice_idx, m) for m in methods}
-            combined = {m: rsos_bins(outputs[m].images) for m in methods}
-            segments = [
-                EdgeSegment((r0 * scale_r, c0 * scale_c), (r1 * scale_r, c1 * scale_c))
-                for (r0, c0), (r1, c1) in truth.edge_segments
-            ]
+            outputs = {m: _load_method(root, sid, slice_idx, m) for m in ALL_METHODS}
+            combined = {m: rsos_bins(outputs[m].images) for m in ALL_METHODS}
+            segments = [EdgeSegment(p0, p1) for p0, p1 in truth.edge_segments]
 
-            region = high_gradient_region(truth.off_resonance_khz, truth.proton_density, out_shape)
+            region = high_gradient_region(truth.off_resonance_khz, truth.proton_density)
             for method in (METHOD_DL_VR, METHOD_DL_ZREPLACE):
                 diff = outputs[method].images[acs_bins] - outputs[METHOD_REFERENCE].images[acs_bins]
                 if region.any():
                     ablation[method].append(float(np.mean(diff[:, region] ** 2)))
 
-            for method in methods:
+            for method in ALL_METHODS:
                 ssim_value = ssim(combined[method], combined[METHOD_REFERENCE])
                 psnr_value = psnr(combined[method], combined[METHOD_REFERENCE])
                 edge_values = []

@@ -2,9 +2,9 @@
 
 The full-scheme pipeline runs, per bin and in this order: parallel-imaging
 interpolation of the missing lattice offsets, homodyne partial-Fourier
-completion per coil, root-sum-of-squares coil combination, then zero-padding
-to the output matrix.  ACS-only bins are reconstructed from the Gaussian
-window-apodized calibration block alone.
+completion per coil, then root-sum-of-squares coil combination.  ACS-only
+bins are reconstructed from the Gaussian window-apodized calibration block
+alone.  Every image stays on the acquisition matrix.
 
 Parallel imaging here is the standard autocalibrated k-space interpolation:
 missing samples are synthesized as shift-invariant linear combinations of
@@ -23,7 +23,6 @@ from vrmsi.core import (
     DOMAIN_IMAGE,
     MultiSpectralStack,
     crop_center_array,
-    fft2c,
     header_fields,
     ifft2c,
     pad_center_array,
@@ -144,8 +143,7 @@ def homodyne_recon(ksp: np.ndarray, pf_mask: np.ndarray) -> np.ndarray:
         raise ValueError("no phase reference: overscan rows are required")
 
     if sampled == ky:
-        img = ifft2c(ksp)
-        return np.real(np.exp(-1j * np.angle(img)) * img)
+        return np.abs(ifft2c(ksp))
 
     m = np.arange(ky) - ky // 2
 
@@ -271,7 +269,6 @@ def reconstruct(
     plan: SamplingPlan,
     ksp_stack: MultiSpectralStack,
     method: str,
-    out_shape: tuple[int, int] | None = None,
     apod_sigma_fraction: float = DEFAULT_APOD_SIGMA_FRACTION,
     kernel_taps: tuple[int, int] = DEFAULT_KERNEL_TAPS,
     ridge: float = DEFAULT_RIDGE,
@@ -298,36 +295,28 @@ def reconstruct(
     full_mask = plan.masks[plan.bins_with_scheme(FULL_SCHEME)[0]]
     pf = partial_fourier_mask(ky, params.pf_overscan)
     geometry = KernelGeometry(params.accel[0], params.accel[1], *kernel_taps, ridge)
-    out_rows, out_cols = out_shape if out_shape is not None else (ky, kz)
     if reference is not None and reference.method != METHOD_REFERENCE:
         raise ValueError(f"reference must be a {METHOD_REFERENCE} output, got {reference.method!r}")
-    if reference is not None and reference.images.shape != (plan.n_bins, out_rows, out_cols):
-        raise ValueError("reference shape disagrees with the plan and out_shape")
+    if reference is not None and reference.images.shape != (plan.n_bins, ky, kz):
+        raise ValueError("reference shape disagrees with the plan")
 
-    combined = np.empty((plan.n_bins, out_rows, out_cols))
+    combined = np.empty((plan.n_bins, ky, kz))
     for b in range(plan.n_bins):
         scheme = FULL_SCHEME if method == METHOD_REFERENCE else plan.schemes[b]
         if scheme == FULL_SCHEME and reference is not None:
-            image = reference.images[b]
+            combined[b] = reference.images[b]
         elif scheme == FULL_SCHEME:
             masked = np.where(full_mask, ksp_stack.data[b], 0)
             acs_data = crop_center_array(masked, params.acs[0], params.acs[1])
             filled = pi_interpolate(masked, acs_data, geometry, mask=full_mask)
-            image = rsos_coils(homodyne_recon(filled, pf))
+            combined[b] = rsos_coils(homodyne_recon(filled, pf))
         elif method == METHOD_CR_ZREPLACE:
-            image = np.zeros((ky, kz))
+            combined[b] = 0.0
         else:
             masked = np.where(plan.masks[b], ksp_stack.data[b], 0)
-            image = rsos_coils(apodized_acs_recon(masked, params.acs, apod_sigma_fraction))
-        combined[b] = _resample_to(image, out_rows, out_cols)
+            combined[b] = rsos_coils(apodized_acs_recon(masked, params.acs, apod_sigma_fraction))
 
     return ReconOutput(combined, method)
-
-
-def _resample_to(image: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
-    if image.shape == (out_rows, out_cols):
-        return image
-    return np.abs(ifft2c(pad_center_array(fft2c(image), out_rows, out_cols)))
 
 
 def save_recon(output: ReconOutput, path) -> None:

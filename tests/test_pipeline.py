@@ -295,8 +295,7 @@ class TestStages:
         for path in kspace:
             ksp = load_stack(path)
             for method in recon.CONVENTIONAL_METHODS:
-                output = recon.reconstruct(plan, ksp, method, out_shape=cfg.out_shape(),
-                                           apod_sigma_fraction=r["apod_sigma_fraction"],
+                output = recon.reconstruct(plan, ksp, method, apod_sigma_fraction=r["apod_sigma_fraction"],
                                            kernel_taps=(r["kernel_ky"], r["kernel_kz"]), ridge=r["ridge"])
                 recon.save_recon(output, expected)
                 stem = path.name.removesuffix(".ksp.msstack")
@@ -512,11 +511,17 @@ class TestCli:
             ("train", "batch_size = 2", "batch_size = 0"),
             ("model", "n_levels = 2\nchannels = 6,10", "n_levels = 0\nchannels ="),
             ("recon", "[model]", "[recon]\nout_rows = 16\n\n[model]"),
+            ("model", "channels = 6,10", "channels = 0,10"),
+            ("phantom", "n_coils = 2", "n_coils = 0"),
+            ("acquisition", "n_bins = 8", "n_bins = 8\nbin_spacing_khz = 0"),
+            ("acquisition", "n_bins = 8", "n_bins = 8\nfwhm_khz = 0"),
+            ("split", "slices_per_subject = 2", "slices_per_subject = 0"),
         ],
-        ids=["n_concat", "pf_overscan", "learning_rate", "batch_size", "n_levels", "out_rows"],
+        ids=["n_concat", "pf_overscan", "learning_rate", "batch_size", "n_levels", "out_rows",
+             "channels", "n_coils", "bin_spacing_khz", "fwhm_khz", "slices_per_subject"],
     )
     def test_refused_before_any_stage(self, tmp_path, capsys, section, old, new):
-        # Each value passes the INI parser but is refused by the parameters a stage builds.
+        # Each value passes the INI parser but is refused by load_config before any stage runs.
         ini = tmp_path / "refused.ini"
         text = TINY_INI.format(out=tmp_path / "out")
         assert old in text

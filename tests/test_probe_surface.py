@@ -11,6 +11,7 @@ import numpy as np
 
 from vrbench import reference_unet, workloads
 from vrbench.tracing import Tracer, instrument, vrmsi_probes
+from vrmsi import config
 from vrmsi.learn import ModelConfig, TrainConfig, UNet
 
 
@@ -37,9 +38,13 @@ def test_reference_unet_reads_the_library_network():
     assert reference_unet.max_relative_error(got, want) < reference_unet.TOLERANCE
 
 
-def test_benchmark_input_builders_run():
+def test_benchmark_input_builders_run(tmp_path):
     # The workloads build their inputs from these calls; a field or argument
-    # they pass by name (PhantomSpec.noise_sigma, say) must keep existing.
+    # they pass by name (PhantomSpec.noise_sigma, say) must keep existing,
+    # and so must every config key the experiment workload's INI sets.
+    ini = tmp_path / "experiment.ini"
+    ini.write_text(workloads.EXPERIMENT_INI.format(seed=1))
+    assert config.load_config(ini).seed == 1
     cfg = workloads.desk_config()
     ksp, clean = workloads.make_slice(cfg, 1, 0)
     assert ksp.domain == "kspace" and clean.domain == "image"

@@ -309,10 +309,6 @@ class TestReconstruct:
         }
         assert e[METHOD_CR_ZREPLACE] <= e[METHOD_CR_VR] <= e[METHOD_REFERENCE]
 
-    def test_zero_pad_output_dims(self, desk_plan, kspace64):
-        out = reconstruct(desk_plan, kspace64, METHOD_CR_VR, out_shape=(96, 96))
-        assert out.images.shape == (8, 96, 96)
-
     def test_dim_mismatch_rejected(self, kspace64):
         params = AcquisitionParams(4.0, 32, 2, 8, (32, 32), (2, 2), 8, (16, 16))
         plan = build_vr_plan(params)
@@ -320,10 +316,10 @@ class TestReconstruct:
             reconstruct(plan, kspace64, METHOD_CR_VR)
 
     def test_reference_reuse_matches_recompute(self, desk_plan, kspace64):
-        ref = reconstruct(desk_plan, kspace64, METHOD_REFERENCE, out_shape=(80, 72))
+        ref = reconstruct(desk_plan, kspace64, METHOD_REFERENCE)
         for method in (METHOD_CR_VR, METHOD_CR_ZREPLACE):
-            reused = reconstruct(desk_plan, kspace64, method, out_shape=(80, 72), reference=ref)
-            fresh = reconstruct(desk_plan, kspace64, method, out_shape=(80, 72))
+            reused = reconstruct(desk_plan, kspace64, method, reference=ref)
+            fresh = reconstruct(desk_plan, kspace64, method)
             assert np.array_equal(reused.images, fresh.images)
 
     def test_reference_must_match(self, desk_plan, kspace64):
@@ -331,8 +327,6 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="REFERENCE"):
             reconstruct(desk_plan, kspace64, METHOD_CR_ZREPLACE, reference=vr)
         ref = reconstruct(desk_plan, kspace64, METHOD_REFERENCE)
-        with pytest.raises(ValueError, match="shape"):
-            reconstruct(desk_plan, kspace64, METHOD_CR_VR, out_shape=(96, 96), reference=ref)
         with pytest.raises(ValueError, match="shape"):
             reconstruct(desk_plan, kspace64, METHOD_CR_VR, reference=ReconOutput(ref.images[1:], METHOD_REFERENCE))
 
