@@ -214,6 +214,10 @@ def _validate(cfg: ExperimentConfig, path) -> None:
     if cfg.phantom["field_span_khz"] < coverage / 2.0:
         raise _config_error(path, f"[phantom] field_span_khz {cfg.phantom['field_span_khz']} below half the "
                                   f"spectral coverage {coverage / 2.0}: outer bins would stay empty")
+    recon = cfg.recon
+    if not (recon["apod_sigma_fraction"] > 0 and recon["ridge"] >= 0):
+        raise _config_error(path, f"[recon] apod_sigma_fraction = {recon['apod_sigma_fraction']} must be "
+                                  f"positive and ridge = {recon['ridge']} non-negative")
     with _refused_as(path, "[acquisition]"):
         params = cfg.acquisition_params()
         build_vr_plan(params)

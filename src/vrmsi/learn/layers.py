@@ -1,14 +1,19 @@
 """Minimal reverse-mode convolution on (batch, channel, height, width) arrays.
 
-``Conv2d.forward`` caches its im2col buffer and, when the layer applies a
-ReLU, the mask of positive pre-activations; ``backward`` masks the output
-gradient, returns the input gradient and leaves parameter gradients in
-``dw``/``db``.  Upsampling has no state: ``upsample2`` and its adjoint
-``upsample2_adjoint`` are plain functions.  Everything runs in float64.
+``Conv2d`` is an implicit GEMM.  ``forward`` copies its input once into a
+channel-major, zero-padded buffer of shape (s² phases, C, B·Hg·Wg): stride
+``s`` splits the padded image into s×s space-to-depth phases of Hg×Wg pixels
+(the output size plus (k-1)//s), flattened image after image.  Each kernel
+tap then reads one phase at a contiguous offset, so each pass is k²
+accumulating GEMMs on views of that buffer, with the batch folded into the
+GEMM's long axis.  Grid positions that are no output pixel compute junk: the
+forward crops it and the backward gives it a zero gradient.
 
-Convolutions lower to a single GEMM per pass over an im2col buffer; the
-buffer layout is offset-major (kernel offset blocks of ``in_channels`` rows),
-matching ``w.transpose(0, 2, 3, 1)`` flattened per output channel.
+The layer keeps the padded buffer and, when it applies a ReLU, the mask of
+positive pre-activations; ``backward`` masks the output gradient, returns the
+input gradient and leaves parameter gradients in ``dw``/``db``.  Upsampling
+has no state: ``upsample2`` and its adjoint ``upsample2_adjoint`` are plain
+functions.  Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -33,13 +38,19 @@ class Conv2d:
         self.b = np.zeros(out_channels)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._cols = None
+        self._buf = None
         self._mask = None
         self._shapes = None
 
-    def _w_matrix(self) -> np.ndarray:
-        # (out, k*k*in), offset-major to match the im2col layout
-        return np.ascontiguousarray(self.w.transpose(0, 2, 3, 1).reshape(self.out_channels, -1))
+    def _taps(self, wg):
+        """(di, dj, phase, offset, length): tap (di, dj) reads ``buf[phase, :, offset:offset + length]``."""
+        k, s = self.kernel_size, self.stride
+        # The grid's last (k-1)//s·(wg+1) positions hold no output pixel; the
+        # furthest tap then ends exactly at the end of the buffer.
+        length = self._buf.shape[2] - (k - 1) // s * (wg + 1)
+        for di in range(k):
+            for dj in range(k):
+                yield di, dj, di % s * s + dj % s, di // s * wg + dj // s, length
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -48,45 +59,41 @@ class Conv2d:
             )
         k, s, p = self.kernel_size, self.stride, self.kernel_size // 2
         batch, cin, h, w = x.shape
-        ho = (h + 2 * p - k) // s + 1
-        wo = (w + 2 * p - k) // s + 1
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        cols = np.empty((batch, k * k * cin, ho * wo))
-        for idx in range(k * k):
-            di, dj = divmod(idx, k)
-            cols[:, idx * cin:(idx + 1) * cin] = xp[
-                :, :, di:di + s * (ho - 1) + 1:s, dj:dj + s * (wo - 1) + 1:s
-            ].reshape(batch, cin, -1)
-        out = np.matmul(self._w_matrix()[None], cols).reshape(batch, self.out_channels, ho, wo)
-        out += self.b[None, :, None, None]
-        self._cols = cols
-        self._shapes = (h, w, ho, wo)
+        ho, wo = (h - 1) // s + 1, (w - 1) // s + 1
+        hg, wg = ho + (k - 1) // s, wo + (k - 1) // s
+        xp = np.zeros((cin, batch, hg * s, wg * s))
+        xp[:, :, p:p + h, p:p + w] = x.transpose(1, 0, 2, 3)
+        phases = xp.reshape(cin, batch, hg, s, wg, s).transpose(3, 5, 0, 1, 2, 4)
+        self._buf = phases.reshape(s * s, cin, -1)          # a copy only when s > 1
+        self._shapes = (h, w, ho, wo, hg, wg)
+        acc = np.zeros((self.out_channels, self._buf.shape[2]))
+        for di, dj, ph, off, n in self._taps(wg):
+            acc[:, :n] += self.w[:, :, di, dj] @ self._buf[ph, :, off:off + n]
+        out = acc.reshape(-1, batch, hg, wg)[:, :, :ho, :wo] + self.b[:, None, None, None]
+        out = out.transpose(1, 0, 2, 3)
         if self.relu:
             self._mask = out > 0
             out = np.where(self._mask, out, 0.0)
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        k, s, p = self.kernel_size, self.stride, self.kernel_size // 2
-        h, w, ho, wo = self._shapes
-        cols = self._cols
-        batch, cin = cols.shape[0], self.in_channels
+        s, p = self.stride, self.kernel_size // 2
+        h, w, ho, wo, hg, wg = self._shapes
+        buf = self._buf
         if self.relu:
             dy = np.where(self._mask, dy, 0.0)
-        dy_flat = np.ascontiguousarray(dy.reshape(batch, self.out_channels, -1))
+        dyg = np.zeros((self.out_channels, buf.shape[2]))
+        dyg.reshape(-1, dy.shape[0], hg, wg)[:, :, :ho, :wo] = dy.transpose(1, 0, 2, 3)
 
-        self.db = dy_flat.sum(axis=(0, 2))
-        dwm = np.matmul(dy_flat, cols.transpose(0, 2, 1)).sum(axis=0)
-        self.dw = dwm.reshape(self.out_channels, k, k, cin).transpose(0, 3, 1, 2).copy()
-
-        dcols = np.matmul(self._w_matrix().T[None], dy_flat)
-        dxp = np.zeros((batch, cin, h + 2 * p, w + 2 * p))
-        for idx in range(k * k):
-            di, dj = divmod(idx, k)
-            dxp[:, :, di:di + s * (ho - 1) + 1:s, dj:dj + s * (wo - 1) + 1:s] += dcols[
-                :, idx * cin:(idx + 1) * cin
-            ].reshape(batch, cin, ho, wo)
-        return dxp[:, :, p:p + h, p:p + w]
+        self.db = dyg.sum(axis=1)
+        self.dw = np.empty_like(self.w)
+        dbuf = np.zeros_like(buf)
+        for di, dj, ph, off, n in self._taps(wg):
+            self.dw[:, :, di, dj] = dyg[:, :n] @ buf[ph, :, off:off + n].T
+            dbuf[ph, :, off:off + n] += self.w[:, :, di, dj].T @ dyg[:, :n]
+        dxp = dbuf.reshape(s, s, self.in_channels, -1, hg, wg).transpose(2, 3, 4, 0, 5, 1)
+        dxp = dxp.reshape(self.in_channels, -1, hg * s, wg * s)
+        return dxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
 
 
 def upsample2(x: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vrbench.reference_unet import conv2d as direct_conv2d
 from vrmsi.learn import (
     Adam,
     ModelConfig,
@@ -126,6 +127,13 @@ class TestGradients:
     def test_conv_stride2_gradients(self):
         self._layer_check(Conv2d(2, 3, stride=2, rng=np.random.default_rng(1)), (2, 2, 8, 8))
 
+    @pytest.mark.parametrize(
+        "k, stride, in_shape",
+        [(5, 1, (3, 2, 7, 6)), (5, 2, (3, 2, 7, 9)), (3, 2, (3, 2, 9, 6)), (1, 2, (3, 2, 5, 5))],
+    )
+    def test_conv_gradients_odd_sizes(self, k, stride, in_shape):
+        self._layer_check(Conv2d(2, 3, k, stride, rng=np.random.default_rng(k + stride)), in_shape)
+
     @staticmethod
     def _layer_check(layer, in_shape, eps=1e-6):
         rng = np.random.default_rng(5)
@@ -145,17 +153,18 @@ class TestGradients:
             xm[idx] -= eps
             fd = (loss_at(xp) - loss_at(xm)) / (2 * eps)
             assert fd == pytest.approx(dx[idx], rel=1e-4, abs=1e-8)
-        for _ in range(20):
-            widx = tuple(rng.integers(0, s) for s in layer.w.shape)
-            orig = layer.w[widx]
-            layer.w[widx] = orig + eps
-            lp = loss_at(x)
-            layer.w[widx] = orig - eps
-            lm = loss_at(x)
-            layer.w[widx] = orig
-            layer.forward(x)
-            layer.backward(dy)
-            assert (lp - lm) / (2 * eps) == pytest.approx(layer.dw[widx], rel=1e-4, abs=1e-8)
+        for param, grad in ((layer.w, "dw"), (layer.b, "db")):
+            for _ in range(20):
+                pidx = tuple(rng.integers(0, s) for s in param.shape)
+                orig = param[pidx]
+                param[pidx] = orig + eps
+                lp = loss_at(x)
+                param[pidx] = orig - eps
+                lm = loss_at(x)
+                param[pidx] = orig
+                layer.forward(x)
+                layer.backward(dy)
+                assert (lp - lm) / (2 * eps) == pytest.approx(getattr(layer, grad)[pidx], rel=1e-4, abs=1e-8)
 
     def test_conv_relu_gradients(self):
         layer = Conv2d(2, 3, rng=np.random.default_rng(2))
@@ -184,6 +193,47 @@ class TestGradients:
         # <U x, dy> = <x, U^T dy>, up to the order of summation
         assert np.sum(up * dy) == pytest.approx(np.sum(x * upsample2_adjoint(dy)), rel=1e-14)
         assert np.array_equal(upsample2_adjoint(np.ones((1, 1, 4, 4))), np.full((1, 1, 2, 2), 4.0))
+
+
+class TestConvEngine:
+    @pytest.mark.parametrize("size", [(7, 10), (8, 5)])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_forward_matches_direct_convolution(self, stride, k, size):
+        # The oracle sums one channel contraction per kernel offset over a
+        # strided view of the padded input; it shares no code with Conv2d.
+        rng = np.random.default_rng(10 * k + stride)
+        layer = Conv2d(4, 5, k, stride, rng=rng, relu=False)
+        layer.b[:] = rng.standard_normal(5)
+        x = rng.standard_normal((3, 4, *size))
+        want = direct_conv2d(x, layer.w, layer.b, stride)
+        assert want.shape == (3, 5, -(-size[0] // stride), -(-size[1] // stride))
+        got = layer.forward(x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
+        layer.relu = True
+        assert np.max(np.abs(layer.forward(x) - np.maximum(want, 0.0))) < 1e-12
+
+    def test_layers_keep_under_twice_their_inputs(self):
+        # What a forward leaves behind for backward, counted by the memory it
+        # pins (a view counts its whole base), against the layers' inputs.
+        model = UNet(ModelConfig(8, 4, 5, (16, 32, 64, 128, 256)), seed=0)
+        input_bytes = []
+        for layer in model.conv_layers():
+            def recording(x, forward=layer.forward):
+                input_bytes.append(x.nbytes)
+                return forward(x)
+            layer.forward = recording
+        model.forward(np.random.default_rng(0).standard_normal((4, 8, 64, 64)))
+        kept = {}
+        for layer in model.conv_layers():
+            for key, value in vars(layer).items():
+                if isinstance(value, np.ndarray) and key not in ("w", "b", "dw", "db"):
+                    while value.base is not None:
+                        value = value.base
+                    kept[id(value)] = value.nbytes
+        assert len(input_bytes) == len(model.conv_layers())
+        assert sum(kept.values()) < 2 * sum(input_bytes)
 
 
 class TestLoss:

@@ -516,9 +516,12 @@ class TestCli:
             ("acquisition", "n_bins = 8", "n_bins = 8\nbin_spacing_khz = 0"),
             ("acquisition", "n_bins = 8", "n_bins = 8\nfwhm_khz = 0"),
             ("split", "slices_per_subject = 2", "slices_per_subject = 0"),
+            ("recon", "[model]", "[recon]\napod_sigma_fraction = 0\n\n[model]"),
+            ("recon", "[model]", "[recon]\nridge = -1e-4\n\n[model]"),
         ],
         ids=["n_concat", "pf_overscan", "learning_rate", "batch_size", "n_levels", "out_rows",
-             "channels", "n_coils", "bin_spacing_khz", "fwhm_khz", "slices_per_subject"],
+             "channels", "n_coils", "bin_spacing_khz", "fwhm_khz", "slices_per_subject",
+             "apod_sigma_fraction", "ridge"],
     )
     def test_refused_before_any_stage(self, tmp_path, capsys, section, old, new):
         # Each value passes the INI parser but is refused by load_config before any stage runs.

@@ -38,6 +38,24 @@ def test_reference_unet_reads_the_library_network():
     assert reference_unet.max_relative_error(got, want) < reference_unet.TOLERANCE
 
 
+def test_conv_flop_counts_the_nchw_shapes():
+    # vrbench derives learn.conv_flop from the (B, C, H, W) arrays that
+    # Conv2d.forward takes and returns and from the dy that backward takes.
+    # Per layer: 2·B·O·k²·C·Ho·Wo forward, twice that backward.
+    net = UNet(ModelConfig(2, 1, 2, (3, 5)), seed=0)
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((2, 2, 8, 8))
+    tracer = Tracer()
+    with instrument(tracer, vrmsi_probes()), tracer.new_request("step"):
+        out = net.forward(x)
+        net.backward(rng.standard_normal(out.shape))
+    # (O, C, Ho, Wo) of enc0, down0 (stride 2), enc1, up0, dec0 and head
+    shapes = [(3, 2, 8, 8), (5, 3, 4, 4), (5, 5, 4, 4), (3, 5, 8, 8), (3, 6, 8, 8), (1, 3, 8, 8)]
+    batch, taps = 2, 9
+    macs = sum(batch * o * taps * c * ho * wo for o, c, ho, wo in shapes)
+    assert tracer.total("learn.conv_flop", tracer.requests(["step"])) == (2 + 4) * macs
+
+
 def test_benchmark_input_builders_run(tmp_path):
     # The workloads build their inputs from these calls; a field or argument
     # they pass by name (PhantomSpec.noise_sigma, say) must keep existing,
