@@ -1,8 +1,10 @@
 """Multi-channel encoder-decoder with skip connections, built on learn.layers.
 
 The encoder applies one convolution per level with stride-2 convolutions
-between levels; the decoder mirrors it with nearest-neighbor upsampling plus
-convolution, concatenating the matching encoder activation at every level.
+between levels; the decoder mirrors it with nearest-neighbor ×2 upsampling
+then convolution, concatenating the matching encoder activation at every
+level.  Each up convolution evaluates its upsample folded into its taps
+(``Conv2d(..., upsample=True)``), so no upsampled map is ever built.
 Every convolution applies its own ReLU except the final one, which maps
 linearly back to the output channel count.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vrmsi.learn.layers import Conv2d, upsample2, upsample2_adjoint
+from vrmsi.learn.layers import Conv2d
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class UNet:
         self.up_convs = []
         self.dec_convs = []
         for lvl in range(levels - 1):
-            self.up_convs.append(Conv2d(ch[lvl + 1], ch[lvl], k, rng=rng, name=f"up{lvl}"))
+            self.up_convs.append(Conv2d(ch[lvl + 1], ch[lvl], k, rng=rng, upsample=True, name=f"up{lvl}"))
             self.dec_convs.append(Conv2d(2 * ch[lvl], ch[lvl], k, rng=rng, name=f"dec{lvl}"))
 
         self.head = Conv2d(ch[0], config.out_channels, k, rng=rng, relu=False, name="head")
@@ -87,7 +89,7 @@ class UNet:
                 skips.append(h)
                 h = self.down_convs[lvl].forward(h)
         for lvl in reversed(range(levels - 1)):
-            h = self.up_convs[lvl].forward(upsample2(h))
+            h = self.up_convs[lvl].forward(h)
             h = self.dec_convs[lvl].forward(np.concatenate([skips[lvl], h], axis=1))
         return self.head.forward(h)
 
@@ -99,7 +101,7 @@ class UNet:
         for lvl in range(levels - 1):
             d = self.dec_convs[lvl].backward(d)
             skip_grads[lvl] = d[:, :cfg.channels[lvl]]
-            d = upsample2_adjoint(self.up_convs[lvl].backward(d[:, cfg.channels[lvl]:]))
+            d = self.up_convs[lvl].backward(d[:, cfg.channels[lvl]:])
         for lvl in reversed(range(levels)):
             if lvl < levels - 1:
                 d = self.down_convs[lvl].backward(d)

@@ -63,10 +63,15 @@ class KernelGeometry:
 
 @dataclass(frozen=True)
 class ReconOutput:
-    """Per-bin coil-combined magnitude images plus the method label."""
+    """Per-bin coil-combined magnitude images plus the method label.
+
+    ``geometry`` is the PI kernel ``reconstruct`` used; it is kept in memory
+    only, so a saved and reloaded output has none.
+    """
 
     images: np.ndarray                   # (n_bins, rows, cols) real, >= 0
     method: str
+    geometry: KernelGeometry | None = None
 
     def __post_init__(self):
         images = np.array(self.images, dtype=np.float64, order="C")
@@ -151,7 +156,9 @@ def homodyne_recon(ksp: np.ndarray, pf_mask: np.ndarray) -> np.ndarray:
     # mirror inside the band, so real inputs stay exactly real).
     band = np.abs(m) <= overscan - 1
     lowres = ifft2c(ksp * band[:, None])
-    phase = np.exp(-1j * np.angle(lowres))
+    # exp(-i·angle(lowres)) without the transcendentals; 1 where |lowres| = 0.
+    mag = np.abs(lowres)
+    phase = np.divide(np.conj(lowres), mag, out=np.ones_like(lowres), where=mag > 0)
 
     weights = np.clip(1.0 - m / overscan, 0.0, 2.0)
     weights[~pf_mask] = 0.0
@@ -280,7 +287,8 @@ def reconstruct(
     keeps that for FULL_SCHEME bins and uses the apodized ACS image for
     ACS_ONLY bins; CR_ZREPLACE zeroes the ACS_ONLY bins entirely.  Given the
     REFERENCE output of the same stack and options, the full-scheme bins are
-    copied from it instead of being reconstructed again.
+    copied from it instead of being reconstructed again; its kernel geometry
+    must be this call's.
     """
     if method not in CONVENTIONAL_METHODS:
         raise ValueError(f"reconstruct handles {CONVENTIONAL_METHODS}, got {method!r}")
@@ -299,6 +307,8 @@ def reconstruct(
         raise ValueError(f"reference must be a {METHOD_REFERENCE} output, got {reference.method!r}")
     if reference is not None and reference.images.shape != (plan.n_bins, ky, kz):
         raise ValueError("reference shape disagrees with the plan")
+    if reference is not None and reference.geometry != geometry:
+        raise ValueError(f"reference was built with kernel {reference.geometry}, not {geometry}")
 
     combined = np.empty((plan.n_bins, ky, kz))
     for b in range(plan.n_bins):
@@ -316,7 +326,7 @@ def reconstruct(
             masked = np.where(plan.masks[b], ksp_stack.data[b], 0)
             combined[b] = rsos_coils(apodized_acs_recon(masked, params.acs, apod_sigma_fraction))
 
-    return ReconOutput(combined, method)
+    return ReconOutput(combined, method, geometry)
 
 
 def save_recon(output: ReconOutput, path) -> None:

@@ -19,7 +19,7 @@ from vrmsi.learn import (
     save_model,
     train,
 )
-from vrmsi.learn.layers import Conv2d, upsample2, upsample2_adjoint
+from vrmsi.learn.layers import Conv2d
 from vrmsi.recon import METHOD_CR_VR, METHOD_CR_ZREPLACE, ReconOutput
 from vrmsi.sampling import AcquisitionParams, build_vr_plan
 
@@ -183,16 +183,11 @@ class TestGradients:
         layer.w[0] = 0.0                     # channel 0's weights reach dx only through its gradient
         assert np.array_equal(layer.backward(np.ones_like(out)), dx)
 
-    def test_upsample_pair_is_exact_adjoint(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((2, 3, 4, 5))
-        dy = rng.standard_normal((2, 3, 8, 10))
-        up = upsample2(x)
-        assert up.shape == dy.shape
-        assert np.array_equal(up[:, :, 1::2, ::2], x)
-        # <U x, dy> = <x, U^T dy>, up to the order of summation
-        assert np.sum(up * dy) == pytest.approx(np.sum(x * upsample2_adjoint(dy)), rel=1e-14)
-        assert np.array_equal(upsample2_adjoint(np.ones((1, 1, 4, 4))), np.full((1, 1, 2, 2), 4.0))
+    @pytest.mark.parametrize("k, in_shape", [(3, (3, 2, 5, 7)), (5, (2, 2, 3, 5))])
+    def test_upsampling_conv_gradients(self, k, in_shape):
+        layer = Conv2d(2, 3, k, rng=np.random.default_rng(k), upsample=True)
+        layer.b[:] = [0.3, -0.2, 0.0]
+        self._layer_check(layer, in_shape)
 
 
 class TestConvEngine:
@@ -213,6 +208,27 @@ class TestConvEngine:
         assert np.max(np.abs(got - want)) < 1e-12
         layer.relu = True
         assert np.max(np.abs(layer.forward(x) - np.maximum(want, 0.0))) < 1e-12
+
+    @pytest.mark.parametrize("size", [(7, 10), (4, 5)])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_upsampling_forward_matches_direct_convolution(self, k, size):
+        # The folded taps against the direct convolution of the input
+        # upsampled ×2 by nearest neighbor.
+        rng = np.random.default_rng(k)
+        layer = Conv2d(4, 5, k, rng=rng, relu=False, upsample=True)
+        layer.b[:] = rng.standard_normal(5)
+        x = rng.standard_normal((3, 4, *size))
+        want = direct_conv2d(x.repeat(2, axis=2).repeat(2, axis=3), layer.w, layer.b, 1)
+        assert want.shape == (3, 5, 2 * size[0], 2 * size[1])
+        got = layer.forward(x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
+        layer.relu = True
+        assert np.max(np.abs(layer.forward(x) - np.maximum(want, 0.0))) < 1e-12
+
+    def test_upsampling_refuses_stride(self):
+        with pytest.raises(ValueError, match="stride"):
+            Conv2d(2, 3, stride=2, upsample=True, rng=np.random.default_rng(0))
 
     def test_layers_keep_under_twice_their_inputs(self):
         # What a forward leaves behind for backward, counted by the memory it

@@ -276,6 +276,18 @@ class TestStages:
         provenance = json.loads((root / "kspace" / "provenance.json").read_text())
         assert provenance["config_hash"] == cfg_b.config_hash("acquisition")
 
+    def test_recon_refuses_a_reference_of_another_kernel(self, pipeline_run):
+        root = Path(pipeline_run.out_dir)
+        plan = load_plan(root / "kspace" / "plan.msstack")
+        ksp = load_stack(next((root / "kspace").glob("s*/slice*.ksp.msstack")))
+        reference = recon.reconstruct(plan, ksp, recon.METHOD_REFERENCE, ridge=1e-4)
+        recon.reconstruct(plan, ksp, recon.METHOD_CR_VR, ridge=1e-4, reference=reference)
+        with pytest.raises(ValueError, match="kernel"):
+            recon.reconstruct(plan, ksp, recon.METHOD_CR_VR, ridge=0.1, reference=reference)
+        with pytest.raises(ValueError, match="kernel"):
+            recon.reconstruct(plan, ksp, recon.METHOD_CR_VR, kernel_taps=(3, 2), ridge=1e-4,
+                              reference=reference)
+
     def test_recon_reconstructs_each_bin_once(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path, out_name="reuse")
         cmd_phantom(cfg)

@@ -164,6 +164,13 @@ class TestHomodyne:
         recon = homodyne_recon(ksp * pf[:, None], pf)
         assert np.max(np.abs(recon - img)) < 1e-10
 
+    def test_all_zero_input_gives_zeros(self):
+        pf = partial_fourier_mask(32, 6)
+        with np.errstate(all="raise"):
+            recon = homodyne_recon(np.zeros((2, 32, 32), complex), pf)
+        assert recon.shape == (2, 32, 32)
+        assert np.all(recon == 0.0)
+
     def test_zero_overscan_rejected(self):
         pf = partial_fourier_mask(32, 0)
         with pytest.raises(ValueError):
