@@ -5,7 +5,7 @@ reconstructs them with conventional and learned pipelines, and scores the
 results (SSIM, PSNR, edge sharpness, rank tests).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from vrmsi.core import (
     MultiSpectralStack,

@@ -83,8 +83,16 @@ _DEFAULTS = {
         "kernel_kz": (str(DEFAULT_KERNEL_TAPS[1]), int),
         "ridge": (str(DEFAULT_RIDGE), float),
     },
-    "model": {"n_levels": ("5", int), "channels": ("16,32,64,128,256", _parse_channels)},
-    "train": {"learning_rate": ("2e-4", float), "epochs": ("50", int), "batch_size": ("4", int)},
+    # A dataclass keeps each field's default as a class attribute.
+    "model": {
+        "n_levels": (str(ModelConfig.n_levels), int),
+        "channels": (",".join(map(str, ModelConfig.channels)), _parse_channels),
+    },
+    "train": {
+        "learning_rate": (str(TrainConfig.learning_rate), float),
+        "epochs": (str(TrainConfig.epochs), int),
+        "batch_size": (str(TrainConfig.batch_size), int),
+    },
 }
 
 

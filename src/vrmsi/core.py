@@ -8,10 +8,10 @@ Conventions used by every module in this package:
   energy is preserved and Parseval checks are scale free.
 * Arrays are complex128 in memory; containers store complex64 on disk.
 * This module is the only one that frames or parses a file header: one
-  MSSTACK writer/reader pair serves stacks (complex64), recons (float32),
-  plans (uint8) and truths (complex64), and one payload splitter checks
-  every payload, MSMODEL checkpoints included.  A malformed file raises a
-  ``ContainerError``, which the CLI maps to exit code 4.
+  MSSTACK writer/reader pair serves stacks (complex64), recons (float32)
+  and truths (complex64), and one payload splitter checks every payload,
+  MSMODEL checkpoints included.  A malformed file raises a ``ContainerError``,
+  which the CLI maps to exit code 4.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ MAGIC_STACK = b"MSSTACK\0"
 MAGIC_MODEL = b"MSMODEL\0"
 CONTAINER_VERSION = 1
 
-_PAYLOAD_DTYPES = {"complex64": np.dtype("<c8"), "float32": np.dtype("<f4"), "uint8": np.dtype("u1")}
+_PAYLOAD_DTYPES = {"complex64": np.dtype("<c8"), "float32": np.dtype("<f4")}
 _STACK_DIMS = ("n_bins", "n_coils", "rows", "cols")
 
 
@@ -170,7 +170,7 @@ def crop_center_array(arr: np.ndarray, target_rows: int, target_cols: int) -> np
 # bytes 12-15  little-endian u32 JSON length
 # then         UTF-8 JSON metadata, then raw payload
 #
-# Every MSSTACK file (stacks, recons, plans, truths) is written and read by
+# Every MSSTACK file (stacks, recons, truths) is written and read by
 # write_stack_file/read_stack_file: the header carries n_bins, n_coils, rows,
 # cols, domain, bin_centers_khz and the required payload_dtype,
 # plus any caller keys.  payload_arrays splits every payload, checkpoints

@@ -182,30 +182,19 @@ def _infer(model: UNet, recon_output: ReconOutput, plan: SamplingPlan, method: s
     return ReconOutput(images, method)
 
 
-def save_model(model: UNet, path, optimizer: Adam | None = None, config: TrainConfig | None = None,
-               provenance: str = "") -> None:
-    """Checkpoint weights (and, if given, Adam moments) as an MSMODEL container."""
-    names = model.parameter_names()
+def save_model(model: UNet, path) -> None:
+    """Checkpoint the weights, in ``parameter_names()`` order, as an MSMODEL container."""
     arrays = [np.asarray(p, dtype="<f8") for p in model.parameters()]
-    tensor_names = list(names)
-    if optimizer is not None:
-        arrays += [np.asarray(m, dtype="<f8") for m in optimizer.m]
-        arrays += [np.asarray(v, dtype="<f8") for v in optimizer.v]
-        tensor_names += [f"{n}.adam_m" for n in names] + [f"{n}.adam_v" for n in names]
     metadata = {
         "model_config": asdict(model.config),
-        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in zip(tensor_names, arrays)],
-        "step_count": optimizer.step_count if optimizer is not None else 0,
+        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in zip(model.parameter_names(), arrays)],
         "norm_schema": NORM_SCHEMA_VERSION,
-        "train_config": asdict(config) if config is not None else None,
-        "provenance": provenance,
     }
-    payload = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
-    write_container(path, MAGIC_MODEL, metadata, payload)
+    write_container(path, MAGIC_MODEL, metadata, b"".join(a.tobytes() for a in arrays))
 
 
 def load_model(path) -> tuple[UNet, dict]:
-    """Rebuild a UNet (weights only) from an MSMODEL checkpoint."""
+    """Rebuild a UNet from an MSMODEL checkpoint whose tensors are exactly its weights."""
     metadata, payload = read_container(path, MAGIC_MODEL)
     if metadata.get("norm_schema") != NORM_SCHEMA_VERSION:
         raise BadVersionError(f"{path}: unsupported normalization schema")
@@ -213,11 +202,9 @@ def load_model(path) -> tuple[UNet, dict]:
         model = UNet(ModelConfig(**metadata["model_config"]), seed=0)
         names = [entry["name"] for entry in metadata["tensors"]]
         shapes = [tuple(map(operator.index, entry["shape"])) for entry in metadata["tensors"]]
-        n = len(model.parameters())
-        if names[:n] != model.parameter_names() or shapes[:n] != [p.shape for p in model.parameters()]:
+        if names != model.parameter_names() or shapes != [p.shape for p in model.parameters()]:
             raise ValueError("recorded tensors do not match the model config")
-    arrays = payload_arrays(path, payload, "<f8", shapes)
-    model.set_parameters(arrays[:n])
+    model.set_parameters(payload_arrays(path, payload, "<f8", shapes))
     return model, metadata
 
 

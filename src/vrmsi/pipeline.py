@@ -14,7 +14,8 @@ rebuilds.  A rebuild first checks each upstream stage and refuses, naming the
 lost an artifact.  It then builds the stage aside in ``<stage>.tmp/`` and swaps
 that in whole, so a failed build leaves the last good stage as it was, and its
 ``<stage>.tmp/`` until the next build.  Stages are deterministic given config
-and seed.
+and seed.  No stage stores the VR sampling plan: recon, train, infer and eval
+each derive it from ``[acquisition]``, which is in each of their cache keys.
 """
 
 from __future__ import annotations
@@ -65,10 +66,9 @@ from vrmsi.recon import (
     rsos_bins,
     save_recon,
 )
-from vrmsi.sampling import ACS_ONLY, build_vr_plan, load_plan, save_plan
+from vrmsi.sampling import ACS_ONLY, build_vr_plan
 
 PROVENANCE = "provenance.json"
-PLAN = "plan.msstack"
 
 STAGE_DATASET = "dataset"
 STAGE_KSPACE = "kspace"
@@ -102,11 +102,11 @@ class StageExistsError(RuntimeError):
 def _run_stage(cfg: ExperimentConfig, stage: str, upstream: list[str], force: bool, build) -> Path:
     """Run ``build(root, work_dir)`` unless the stage's cached artifacts are current.
 
-    ``upstream`` names every stage whose artifacts ``build`` reads; each must
-    have been built under this config's key for it, and before a build its
-    listed artifacts must be intact.  A provenance file that lists no
-    artifacts vouches for nothing, so it is never a cache hit.  ``work_dir``
-    is an empty ``<stage>.tmp/`` that replaces the stage once ``build`` returns.
+    ``upstream`` names every stage ``build`` depends on; each must have been
+    built under this config's key for it, and before a build its listed
+    artifacts must be intact.  A provenance file that lists no artifacts
+    vouches for nothing, so it is never a cache hit.  ``work_dir`` is an empty
+    ``<stage>.tmp/`` that replaces the stage once ``build`` returns.
     """
     root = Path(cfg.out_dir)
     stage_dir = root / stage
@@ -238,7 +238,6 @@ def cmd_phantom(cfg: ExperimentConfig, force: bool = False) -> Path:
 
 def cmd_acquire(cfg: ExperimentConfig, force: bool = False) -> Path:
     def build(root, stage_dir):
-        save_plan(build_vr_plan(cfg.acquisition_params()), stage_dir / PLAN)
         centers = np.asarray(cfg.bin_centers())
         fwhm = cfg.acquisition["fwhm_khz"]
         noise = cfg.phantom["noise_sigma"]
@@ -258,7 +257,7 @@ def cmd_acquire(cfg: ExperimentConfig, force: bool = False) -> Path:
 
 def cmd_recon(cfg: ExperimentConfig, force: bool = False) -> Path:
     def build(root, stage_dir):
-        plan = load_plan(root / STAGE_KSPACE / PLAN)
+        plan = build_vr_plan(cfg.acquisition_params())
         r = cfg.recon
 
         def recon_one(task):
@@ -290,7 +289,7 @@ def cmd_train(cfg: ExperimentConfig, force: bool = False) -> Path:
         train_cfg = cfg.train_config()
 
         # Both models learn the same REFERENCE ACS bins, so they are read once.
-        acs_bins = load_plan(root / STAGE_KSPACE / PLAN).bins_with_scheme(ACS_ONLY)
+        acs_bins = build_vr_plan(cfg.acquisition_params()).bins_with_scheme(ACS_ONLY)
         targets = {
             role: [
                 (sid, slice_idx, _load_method(root, sid, slice_idx, METHOD_REFERENCE).images[acs_bins])
@@ -312,14 +311,8 @@ def cmd_train(cfg: ExperimentConfig, force: bool = False) -> Path:
                 for role, role_targets in targets.items()
             }
             model = UNet(model_cfg, seed=model_seed)
-            model, history, optimizer = train(pairs["train"], pairs["val"], model, train_cfg)
-            save_model(
-                model,
-                stage_dir / f"model_{variant}.msmodel",
-                optimizer=optimizer,
-                config=train_cfg,
-                provenance=f"{variant}:{input_method}",
-            )
+            model, history, _ = train(pairs["train"], pairs["val"], model, train_cfg)
+            save_model(model, stage_dir / f"model_{variant}.msmodel")
             save_history(history, stage_dir / f"loss_{variant}.csv")
 
     return _run_stage(cfg, STAGE_MODELS, [STAGE_KSPACE, STAGE_RECON], force, build)
@@ -327,7 +320,7 @@ def cmd_train(cfg: ExperimentConfig, force: bool = False) -> Path:
 
 def cmd_infer(cfg: ExperimentConfig, force: bool = False) -> Path:
     def build(root, stage_dir):
-        plan = load_plan(root / STAGE_KSPACE / PLAN)
+        plan = build_vr_plan(cfg.acquisition_params())
         model_vr, _ = load_model(root / STAGE_MODELS / "model_vr.msmodel")
         model_zr, _ = load_model(root / STAGE_MODELS / "model_zr.msmodel")
 
@@ -348,7 +341,7 @@ def cmd_infer(cfg: ExperimentConfig, force: bool = False) -> Path:
 
 def cmd_eval(cfg: ExperimentConfig, force: bool = False) -> Path:
     def build(root, stage_dir):
-        acs_bins = load_plan(root / STAGE_KSPACE / PLAN).bins_with_scheme(ACS_ONLY)
+        acs_bins = build_vr_plan(cfg.acquisition_params()).bins_with_scheme(ACS_ONLY)
         report = EvalReport()
         ablation = {METHOD_DL_VR: [], METHOD_DL_ZREPLACE: []}
 

@@ -11,11 +11,9 @@ fixed convention is what the homodyne reconstruction assumes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
-
-from vrmsi.core import DOMAIN_KSPACE, header_fields, read_stack_file, write_stack_file
 
 FULL_SCHEME = "FULL_SCHEME"
 ACS_ONLY = "ACS_ONLY"
@@ -170,16 +168,3 @@ def efficiency_gain(params: AcquisitionParams) -> float:
     """
     ns, ns_acs = _shot_counts(params)
     return 1.0 - (ns + ns_acs) / (2.0 * ns)
-
-
-def save_plan(plan: SamplingPlan, path) -> None:
-    """Persist masks as a u8 stack with scheme labels and acquisition params in the header."""
-    write_stack_file(path, plan.masks[:, None], "uint8", DOMAIN_KSPACE,
-                     schemes=plan.schemes, params=asdict(plan.params))
-
-
-def load_plan(path) -> SamplingPlan:
-    metadata, masks = read_stack_file(path)
-    with header_fields(path):
-        params = {k: tuple(v) if isinstance(v, list) else v for k, v in metadata["params"].items()}
-        return SamplingPlan(masks[:, 0], tuple(metadata["schemes"]), AcquisitionParams(**params))

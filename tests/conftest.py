@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vrmsi.core import MAGIC_MODEL, read_container, write_container
 from vrmsi.phantom import Ellipse, Implant, PhantomSpec, generate_phantom, simulate_bins, to_kspace
 from vrmsi.sampling import AcquisitionParams, build_vr_plan
 
@@ -75,3 +76,18 @@ def desk_params():
 @pytest.fixture(scope="session")
 def desk_plan(desk_params):
     return build_vr_plan(desk_params)
+
+
+@pytest.fixture
+def add_adam_moments():
+    """Rewrites a weights-only MSMODEL checkpoint in the 0.1.0 layout: the
+    weights, then a zero Adam first and second moment tensor per weight."""
+
+    def rewrite(path):
+        metadata, payload = read_container(path, MAGIC_MODEL)
+        weights = metadata["tensors"]
+        moments = [{"name": f"{t['name']}.adam_{m}", "shape": t["shape"]} for m in "mv" for t in weights]
+        metadata.update(tensors=weights + moments, step_count=0, train_config=None, provenance="")
+        write_container(path, MAGIC_MODEL, metadata, bytes(payload) + bytes(2 * len(payload)))
+
+    return rewrite

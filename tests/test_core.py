@@ -24,7 +24,6 @@ from vrmsi.core import (
 )
 from vrmsi.learn import ModelConfig, UNet, load_model, save_model
 from vrmsi.recon import ReconOutput, load_recon, save_recon
-from vrmsi.sampling import AcquisitionParams, build_vr_plan, load_plan, save_plan
 
 
 def dft2_oracle(x):
@@ -172,18 +171,13 @@ def _write_recon(path):
     return load_recon
 
 
-def _write_plan(path):
-    save_plan(build_vr_plan(AcquisitionParams(2.0, 8, 2, 4, (16, 16), (2, 2), 8, (4, 4))), path)
-    return load_plan
-
-
 def _write_checkpoint(path):
     save_model(UNet(ModelConfig(4, 2, 2, (4, 6)), seed=0), path)
     return load_model
 
 
 # one writer per artifact kind; each returns the loader that reads its file back
-WRITERS = {"stack": _write_stack, "recon": _write_recon, "plan": _write_plan, "checkpoint": _write_checkpoint}
+WRITERS = {"stack": _write_stack, "recon": _write_recon, "checkpoint": _write_checkpoint}
 
 
 def rewrite_header(path, magic, edit):

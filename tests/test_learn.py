@@ -1,9 +1,12 @@
 """Gradient checks against finite differences, Adam behavior, training loop."""
 
+import re
+
 import numpy as np
 import pytest
 
 from vrbench.reference_unet import conv2d as direct_conv2d
+from vrmsi.core import ContainerError
 from vrmsi.learn import (
     Adam,
     ModelConfig,
@@ -431,17 +434,22 @@ class TestCheckpoint:
     def test_round_trip_preserves_weights_and_outputs(self, tmp_path):
         config = ModelConfig(4, 2, 3, (4, 6, 8))
         model = UNet(config, seed=13)
-        opt = Adam(model.parameters())
         x = np.random.default_rng(7).standard_normal((1, 4, 16, 16))
         expected = model.forward(x)
         path = tmp_path / "model.msmodel"
-        save_model(model, path, optimizer=opt, config=TrainConfig(), provenance="test")
+        save_model(model, path)
         loaded, meta = load_model(path)
-        assert meta["step_count"] == 0
         assert meta["model_config"]["channels"] == [4, 6, 8]
         for a, b in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(a, b)
         assert np.array_equal(loaded.forward(x), expected)
+
+    def test_optimizer_moments_refused(self, tmp_path, add_adam_moments):
+        path = tmp_path / "model.msmodel"
+        save_model(UNet(ModelConfig(4, 2, 2, (4, 6)), seed=0), path)
+        add_adam_moments(path)
+        with pytest.raises(ContainerError, match=re.escape(str(path))):
+            load_model(path)
 
     def test_model_magic(self, tmp_path):
         model = UNet(ModelConfig(4, 2, 2, (4, 6)), seed=0)

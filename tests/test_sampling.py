@@ -12,9 +12,7 @@ from vrmsi.sampling import (
     build_vr_plan,
     efficiency_gain,
     full_scheme_mask,
-    load_plan,
     partial_fourier_mask,
-    save_plan,
     scan_time_conventional,
     scan_time_vr,
     shots_required,
@@ -138,14 +136,6 @@ class TestVrPlan:
         conventional_total = desk_params.n_bins * int(full_scheme_mask(desk_params).sum())
         vr_total = int(desk_plan.masks.sum())
         assert vr_total < conventional_total
-
-    def test_plan_round_trip(self, desk_plan, tmp_path):
-        path = tmp_path / "plan.msstack"
-        save_plan(desk_plan, path)
-        loaded = load_plan(path)
-        assert np.array_equal(loaded.masks, desk_plan.masks)
-        assert loaded.schemes == desk_plan.schemes
-        assert loaded.params == desk_plan.params
 
 
 class TestTiming:
